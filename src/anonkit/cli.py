@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .checking import SatReport, all_satisfied, check_all
-from .constraints import FrequencyRange
+from .constraints import Constraint, ConstraintKind, FrequencyRange, Literal
 from .dsl import format_constraint, parse_constraint_line, parse_constraints
 from .errors import AnonError
 from .inference import (
@@ -222,21 +222,15 @@ def cmd_satisfiable(args) -> int:
     return code
 
 
-def _render_fixed(fc: FixedConstraint) -> str:
-    pairs = ", ".join(f'{a}="{v}"' for a, v in fc.target.sorted_entries())
-    line = f"div: {fc.bounds.lo} <= count({pairs})"
-    if fc.bounds.hi is not None:
-        line += f" <= {fc.bounds.hi}"
-    return line
-
-
 def cmd_mincover(args) -> int:
     sigma = _load_fixed(args.constraints)
     if isinstance(is_satisfiable(sigma), Unsatisfiable):
         print("error: constraint set is unsatisfiable", file=sys.stderr)
         return 1
     for fc in minimal_cover(sigma):
-        print(_render_fixed(fc))
+        lo = Literal(fc.bounds.lo)  # printed even when it is 0
+        hi = None if fc.bounds.hi is None else Literal(fc.bounds.hi)
+        print(format_constraint(Constraint(ConstraintKind.DIVERSITY, fc.target, lo, hi)))
     return 0
 
 

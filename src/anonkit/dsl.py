@@ -18,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .constraints import (
     BinOp,
@@ -300,17 +300,6 @@ def parse_constraints(text: str, k: int = 1) -> list[Constraint]:
         _lint(constraint, k, i)
         out.append(constraint)
     return out
-
-
-def iter_parsed(text: str, k: int = 1) -> Iterator[tuple[int, Constraint]]:
-    """Like parse_constraints but yields (line number, constraint) pairs."""
-    for i, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line, i)
-        if not tokens:
-            continue
-        constraint = _LineParser(tokens, i).parse_constraint()
-        _lint(constraint, k, i)
-        yield i, constraint
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}

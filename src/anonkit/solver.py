@@ -12,18 +12,28 @@ Three solvers share this space: an exhaustive oracle for tiny inputs, a
 branch-and-bound search that is exact at any size it finishes, and a
 greedy two-phase heuristic (agglomerate to size >= k, then repair
 constraint violations by local moves).
+
+Under the canonical suppression the loss, the star count of each
+attribute and the count of each constraint target are sums of per-group
+terms. Branch and bound and greedy therefore score candidates from group
+summaries and never build an output relation for one; build_anonymized
+and check_all, the reference path, run only to materialise the Solution
+a solver returns. The oracle, the ground truth for tests, evaluates every
+partition on the reference path.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
-from .checking import SatReport, check_all, referenced_star_attributes
-from .constraints import Constraint, Literal
+from .checking import SatReport, _resolve, check_all, referenced_star_attributes
+from .constraints import Constraint, ConstraintKind, EvalContext, Literal
 from .errors import ContractError, OracleCapError, SchemaError
 from .relation import (
     STAR,
@@ -284,6 +294,117 @@ def decide(problem: Problem, cap: int = ORACLE_CAP) -> bool:
     return not isinstance(oracle_min_loss(problem, cap), Infeasible)
 
 
+# --- group summaries ----------------------------------------------------
+
+
+def _row_matches(row: Sequence, part: Sequence[tuple[int, str]]) -> bool:
+    return all(row[col] == v for col, v in part)
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """Output QI projection of two groups put together: shared values kept."""
+    return tuple(x if x == y else STAR for x, y in zip(a, b))
+
+
+class _Evaluator:
+    """Scores clusterings of one problem from per-group summaries.
+
+    Under the canonical suppression every number check_all reads is a
+    sum over groups: the stars per QI attribute (hence the loss) and
+    each constraint's target count. A group's summary is the flat tuple
+    (stars, stars per QI attribute..., count per constraint...), so a
+    clustering's totals are the element-wise sum of its summaries and a
+    local move is scored by swapping the summaries of the groups it
+    touches. Bounds are resolved on the EvalContext check_all would
+    build, memoised on the star counts each constraint reads.
+    """
+
+    def __init__(self, problem: Problem):
+        relation = problem.relation
+        qi_cols = [relation.column_index(a) for a in problem.qi]
+        qi_pos = {a: p for p, a in enumerate(problem.qi)}
+        self.proj = [tuple(row[c] for c in qi_cols) for row in relation.rows]
+        self.n_qi = len(qi_cols)
+        self._problem = problem
+        # Per constraint: the target's QI part as (QI position, value),
+        # and whether each row matches the rest of the target.
+        self._targets: list[tuple[tuple[tuple[int, str], ...], list[int]]] = []
+        self._reads: list[tuple[int, ...]] = []
+        self._inputs: list[dict] = []  # the input statistics fairness bounds see
+        self._memo: list[dict[tuple[int, ...], tuple[int, Optional[int]]]] = []
+        for c in problem.sigma:
+            entries = c.target.sorted_entries()
+            qi_part = tuple((qi_pos[a], v) for a, v in entries if a in qi_pos)
+            other = [(relation.column_index(a), v) for a, v in entries if a not in qi_pos]
+            match = [int(_row_matches(row, other)) for row in relation.rows]
+            self._targets.append((qi_part, match))
+            read = referenced_star_attributes(c)
+            self._reads.append(tuple(p for a, p in qi_pos.items() if a in read))
+            self._inputs.append(
+                {
+                    "initial_target_count": count_target(relation, c.target),
+                    "initial_size": relation.n_rows,
+                }
+                if c.kind is ConstraintKind.FAIRNESS
+                else {}
+            )
+            self._memo.append({})
+
+    def uniform(self, group: Sequence[int]) -> tuple:
+        """The group's QI projection in the output: its shared value or STAR."""
+        return reduce(_join, (self.proj[i] for i in group))
+
+    def summary(self, group: Sequence[int], uni: Optional[tuple] = None) -> tuple[int, ...]:
+        if uni is None:
+            uni = self.uniform(group)
+        size = len(group)
+        stars = [size if u is STAR else 0 for u in uni]
+        counts = [
+            sum(match[i] for i in group) if all(uni[p] == v for p, v in qi_part) else 0
+            for qi_part, match in self._targets
+        ]
+        return (sum(stars), *stars, *counts)
+
+    @staticmethod
+    def totals(summaries: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+        return tuple(map(sum, zip(*summaries)))
+
+    @staticmethod
+    def moved(
+        base: tuple[int, ...],
+        removed: Sequence[tuple[int, ...]],
+        added: Sequence[tuple[int, ...]],
+    ) -> tuple[int, ...]:
+        """Totals after replacing the removed summaries by the added ones."""
+        return tuple(
+            t - sum(r) + sum(a) for t, r, a in zip(base, zip(*removed), zip(*added))
+        )
+
+    def bounds(self, stars: Sequence[int]) -> list[tuple[int, Optional[int]]]:
+        """Each constraint's resolved (lo, hi) given the stars per QI attribute."""
+        problem = self._problem
+        relation = problem.relation
+        out = []
+        for c, read, inputs, memo in zip(problem.sigma, self._reads, self._inputs, self._memo):
+            key = tuple(stars[p] for p in read)
+            if key not in memo:
+                star_counts = dict.fromkeys(relation.schema, 0)
+                star_counts.update(zip(problem.qi, stars))
+                ctx = EvalContext(problem.k, relation.n_rows, star_counts, **inputs)
+                memo[key] = _resolve(c, ctx)
+            out.append(memo[key])
+        return out
+
+    def violations(self, totals: tuple[int, ...]) -> int:
+        """Number of constraints the clustering with these totals breaks."""
+        split = 1 + self.n_qi
+        return sum(
+            1
+            for (lo, hi), got in zip(self.bounds(totals[1:split]), totals[split:])
+            if got < lo or (hi is not None and got > hi)
+        )
+
+
 # --- branch and bound ---------------------------------------------------
 
 
@@ -323,10 +444,6 @@ def _static_bounds(problem: Problem) -> list[_StaticBound]:
     return out
 
 
-def _row_matches(row: Sequence, part: Sequence[tuple[int, str]]) -> bool:
-    return all(row[col] == v for col, v in part)
-
-
 def solve_exact(problem: Problem) -> SolveResult:
     """Branch and bound over partitions; optimal when it completes.
 
@@ -334,7 +451,8 @@ def solve_exact(problem: Problem) -> SolveResult:
     A branch dies when (a) cells already starred reach the incumbent
     loss, (b) the unassigned rows cannot fill every undersized group,
     or (c)/(d) a constant count bound is provably violated in every
-    completion of the branch.
+    completion of the branch. Leaves are checked from group summaries;
+    only the returned clustering is materialised.
     """
     stats = SolverStats(
         prunes={"loss_bound": 0, "underfill": 0, "upper_bound": 0, "lower_bound": 0}
@@ -362,7 +480,7 @@ def solve_exact(problem: Problem) -> SolveResult:
             )
 
     rows = relation.rows
-    qi_cols = [relation.column_index(a) for a in problem.qi]
+    ev = _Evaluator(problem)
 
     # Per static bound: which rows match the target's QI part / all of it.
     qi_match = [
@@ -383,15 +501,10 @@ def solve_exact(problem: Problem) -> SolveResult:
     ]
 
     groups: list[list[int]] = []
-    best: Optional[tuple[int, Clustering, Relation, list[SatReport]]] = None
-
-    def partial_loss() -> int:
-        loss = 0
-        for g in groups:
-            for col in qi_cols:
-                if len({rows[i][col] for i in g}) > 1:
-                    loss += len(g)
-        return loss
+    unis: list[tuple] = []  # each group's output QI projection
+    loss = 0  # stars of the groups as they stand
+    deficit = 0  # rows still missing from undersized groups
+    best: Optional[tuple[int, Clustering]] = None
 
     def count_prunes_fail(next_row: int) -> Optional[str]:
         """Can some completion still respect every constant bound?"""
@@ -417,7 +530,7 @@ def solve_exact(problem: Problem) -> SolveResult:
         return None
 
     def assign(i: int) -> None:
-        nonlocal best
+        nonlocal best, loss, deficit
         stats.nodes_expanded += 1
         if limits.max_nodes is not None and stats.nodes_expanded > limits.max_nodes:
             raise _BudgetExceeded
@@ -427,28 +540,34 @@ def solve_exact(problem: Problem) -> SolveResult:
         ):
             raise _BudgetExceeded
         if i == n:
-            if any(len(g) < k for g in groups):
+            if deficit:
                 return
-            clustering = Clustering([tuple(g) for g in groups])
-            rp, reports = _evaluate(problem, clustering)
-            if not all(r.satisfied for r in reports):
+            totals = ev.totals(map(ev.summary, groups, unis))
+            if ev.violations(totals):
                 return
-            loss = info_loss(rp)
-            if best is None or loss < best[0]:
-                best = (loss, clustering, rp, reports)
+            if best is None or totals[0] < best[0]:
+                best = (totals[0], Clustering([tuple(g) for g in groups]))
             return
-        placements = list(range(len(groups))) + [len(groups)]
-        for slot in placements:
+        proj = ev.proj[i]
+        for slot in range(len(groups) + 1):
             if slot == len(groups):
                 groups.append([i])
+                unis.append(proj)
+                old_uni, added, filled = None, 0, 1 - k
             else:
-                groups[slot].append(i)
+                g = groups[slot]
+                old_uni = unis[slot]
+                unis[slot] = _join(old_uni, proj)
+                added = (len(g) + 1) * unis[slot].count(STAR) - len(g) * old_uni.count(STAR)
+                filled = int(len(g) < k)
+                g.append(i)
+            loss += added
+            deficit -= filled
             try:
-                deficit = sum(max(0, k - len(g)) for g in groups)
                 if deficit > n - (i + 1):
                     stats.prunes["underfill"] += 1
                     continue
-                if best is not None and partial_loss() >= best[0]:
+                if best is not None and loss >= best[0]:
                     stats.prunes["loss_bound"] += 1
                     continue
                 reason = count_prunes_fail(i + 1)
@@ -457,39 +576,35 @@ def solve_exact(problem: Problem) -> SolveResult:
                     continue
                 assign(i + 1)
             finally:
-                if slot == len(groups) - 1 and len(groups[slot]) == 1:
+                loss -= added
+                deficit += filled
+                if old_uni is None:
                     groups.pop()
+                    unis.pop()
                 else:
                     groups[slot].pop()
+                    unis[slot] = old_uni
 
     aborted = False
     try:
         assign(0)
     except _BudgetExceeded:
         aborted = True
+    solution = None
+    if best is not None:
+        clustering = best[1]
+        rp, reports = _evaluate(problem, clustering)
+        solution = _make_solution(problem, clustering, rp, reports, not aborted, stats)
     stats.wall_time = time.monotonic() - start
 
     if aborted:
-        incumbent = None
-        if best is not None:
-            loss, clustering, rp, reports = best
-            incumbent = _make_solution(problem, clustering, rp, reports, False, stats)
-        return Aborted(incumbent, stats)
-    if best is None:
+        return Aborted(solution, stats)
+    if solution is None:
         return Infeasible("no clustering satisfies every constraint", stats)
-    loss, clustering, rp, reports = best
-    return _make_solution(problem, clustering, rp, reports, True, stats)
+    return solution
 
 
 # --- greedy heuristic ---------------------------------------------------
-
-
-def _group_stars(rows: Sequence[Sequence], group: Sequence[int], qi_cols: Sequence[int]) -> int:
-    stars = 0
-    for col in qi_cols:
-        if len({rows[i][col] for i in group}) > 1:
-            stars += len(group)
-    return stars
 
 
 def solve_greedy(problem: Problem) -> Union[Solution, Unknown]:
@@ -502,82 +617,91 @@ def solve_greedy(problem: Problem) -> Union[Solution, Unknown]:
     violations (stars saved as tie-break), drawing lots with the seeded
     RNG among equals, until all constraints hold or no move helps.
     Unknown means the walk stalled, not that no solution exists.
+    Moves are scored from group summaries; only the returned clustering
+    is materialised.
     """
     stats = SolverStats()
     start = time.monotonic()
     relation = problem.relation
     n = relation.n_rows
     k = problem.k
-    rows = relation.rows
-    qi_cols = [relation.column_index(a) for a in problem.qi]
     rng = random.Random(problem.limits.seed)
 
     if n < k:
         stats.wall_time = time.monotonic() - start
         return Unknown(f"{n} rows cannot form a group of size {k}", stats)
 
-    # Phase 1: groups of identical QI projection, in first-appearance order.
+    ev = _Evaluator(problem)
+    proj = ev.proj
+
+    # Phase 1: groups of identical QI projection, in first-appearance
+    # order. Each group keeps its slot there, so slots order groups as
+    # their list positions would; a merge keeps the lower slot, and
+    # bumping both slots' versions retires the heap entries priced on
+    # the old contents. Popping (cost, slot, slot) is the scan over all
+    # pairs for min((cost, position, position)).
     by_proj: dict[tuple, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_proj.setdefault(tuple(row[c] for c in qi_cols), []).append(i)
-    groups: list[list[int]] = list(by_proj.values())
+    for i, p in enumerate(proj):
+        by_proj.setdefault(p, []).append(i)
+    members = dict(enumerate(by_proj.values()))
+    unis = dict(enumerate(by_proj))
+    version = dict.fromkeys(members, 0)
+    heap: list[tuple[int, int, int, int, int]] = []
 
-    def merge_cost(a: list[int], b: list[int]) -> int:
-        return (
-            _group_stars(rows, a + b, qi_cols)
-            - _group_stars(rows, a, qi_cols)
-            - _group_stars(rows, b, qi_cols)
-        )
+    def push(x: int, y: int) -> None:
+        a, b = len(members[x]), len(members[y])
+        if a < k or b < k:
+            cost = (
+                (a + b) * _join(unis[x], unis[y]).count(STAR)
+                - a * unis[x].count(STAR)
+                - b * unis[y].count(STAR)
+            )
+            heapq.heappush(heap, (cost, x, y, version[x], version[y]))
 
-    while any(len(g) < k for g in groups):
-        candidates = []
+    for x in members:
+        for y in range(x + 1, len(members)):
+            push(x, y)
+    undersized = sum(len(g) < k for g in members.values())
+    while undersized:
+        _, x, y, vx, vy = heapq.heappop(heap)
+        if version[x] != vx or version[y] != vy:
+            continue
+        undersized -= (len(members[x]) < k) + (len(members[y]) < k)
+        members[x] += members.pop(y)
+        undersized += len(members[x]) < k
+        unis[x] = _join(unis[x], unis.pop(y))
+        version[x] += 1
+        version[y] += 1
+        for z in members:
+            if z != x:
+                push(min(x, z), max(x, z))
+    groups = [members[x] for x in sorted(members)]
+
+    def candidate_moves():
+        """Yield (touched positions, replacement groups) in a fixed order.
+
+        Replacements take the touched positions in order; a surplus one
+        is appended, and a touched position left over is deleted.
+        """
         for x in range(len(groups)):
             for y in range(x + 1, len(groups)):
-                if len(groups[x]) < k or len(groups[y]) < k:
-                    candidates.append((merge_cost(groups[x], groups[y]), x, y))
-        cost, x, y = min(candidates)
-        groups[x] = groups[x] + groups[y]
-        del groups[y]
-
-    def snapshot() -> tuple[Clustering, Relation, list[SatReport], int, int]:
-        clustering = Clustering([tuple(g) for g in groups])
-        rp, reports = _evaluate(problem, clustering)
-        violations = sum(1 for r in reports if not r.satisfied)
-        return clustering, rp, reports, violations, info_loss(rp)
-
-    def candidate_moves() -> list[tuple[str, tuple]]:
-        moves: list[tuple[str, tuple]] = []
-        for x in range(len(groups)):
-            for y in range(x + 1, len(groups)):
-                moves.append(("merge", (x, y)))
-                for a in range(len(groups[x])):
-                    for b in range(len(groups[y])):
-                        moves.append(("swap", (x, a, y, b)))
+                gx, gy = groups[x], groups[y]
+                yield (x, y), (gx + gy,)
+                for a in range(len(gx)):
+                    for b in range(len(gy)):
+                        nx, ny = list(gx), list(gy)
+                        nx[a], ny[b] = gy[b], gx[a]
+                        yield (x, y), (nx, ny)
         for x, g in enumerate(groups):
             if len(g) >= 2 * k:
-                ordered = sorted(g, key=lambda i: (tuple(rows[i][c] for c in qi_cols), i))
+                ordered = sorted(g, key=lambda i: (proj[i], i))
                 for cut in range(k, len(g) - k + 1):
-                    moves.append(("split", (x, tuple(ordered[:cut]), tuple(ordered[cut:]))))
-        return moves
-
-    def apply_move(move: tuple[str, tuple]) -> list[list[int]]:
-        kind, args = move
-        new = [list(g) for g in groups]
-        if kind == "merge":
-            x, y = args
-            new[x] = new[x] + new[y]
-            del new[y]
-        elif kind == "swap":
-            x, a, y, b = args
-            new[x][a], new[y][b] = new[y][b], new[x][a]
-        else:
-            x, left, right = args
-            new[x] = list(left)
-            new.append(list(right))
-        return new
+                    yield (x,), (ordered[:cut], ordered[cut:])
 
     budget = problem.limits.max_nodes if problem.limits.max_nodes is not None else 200
-    clustering, rp, reports, violations, loss = snapshot()
+    summaries = [ev.summary(g) for g in groups]
+    totals = ev.totals(summaries)
+    violations = ev.violations(totals)
     steps = 0
     while violations > 0:
         if steps >= budget:
@@ -589,25 +713,34 @@ def solve_greedy(problem: Problem) -> Union[Solution, Unknown]:
         ):
             stats.wall_time = time.monotonic() - start
             return Unknown("repair ran out of time", stats)
-        scored: list[tuple[tuple[int, int], list[list[int]]]] = []
-        saved = groups
-        for move in candidate_moves():
-            groups = apply_move(move)
+        best_score: Optional[tuple[int, int]] = None
+        ties: list[tuple] = []
+        for touched, new in candidate_moves():
             stats.nodes_expanded += 1
-            _, _, _, new_violations, new_loss = snapshot()
-            scored.append(((violations - new_violations, loss - new_loss), groups))
-            groups = saved
-        if not scored:
+            new_summaries = [ev.summary(g) for g in new]
+            new_totals = ev.moved(totals, [summaries[x] for x in touched], new_summaries)
+            score = (violations - ev.violations(new_totals), totals[0] - new_totals[0])
+            if best_score is None or score > best_score:
+                best_score, ties = score, []
+            if score == best_score:
+                ties.append((touched, new, new_summaries, new_totals))
+        if best_score is None:
             stats.wall_time = time.monotonic() - start
             return Unknown("no applicable repair move", stats)
-        best_score = max(score for score, _ in scored)
         if best_score <= (0, 0):
             stats.wall_time = time.monotonic() - start
             return Unknown("repair stalled: no move removes a violation", stats)
-        ties = [g for score, g in scored if score == best_score]
-        groups = ties[rng.randrange(len(ties))]
-        clustering, rp, reports, violations, loss = snapshot()
+        touched, new, new_summaries, totals = ties[rng.randrange(len(ties))]
+        for x, g, s in zip(touched, new, new_summaries):
+            groups[x], summaries[x] = g, s
+        for x in reversed(touched[len(new):]):
+            del groups[x], summaries[x]
+        groups.extend(new[len(touched):])
+        summaries.extend(new_summaries[len(touched):])
+        violations -= best_score[0]
         steps += 1
 
+    clustering = Clustering([tuple(g) for g in groups])
+    rp, reports = _evaluate(problem, clustering)
     stats.wall_time = time.monotonic() - start
     return _make_solution(problem, clustering, rp, reports, False, stats)

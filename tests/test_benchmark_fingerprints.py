@@ -1,0 +1,40 @@
+"""The benchmark's smoke run keeps the output fingerprints recorded for it.
+
+A fingerprint hashes every answer of a workload: exit codes, outcomes,
+losses, written CSVs and reports without their timing field. The values
+below were recorded before the solvers scored candidates from group
+summaries, so a match means the same clusterings, losses, node counts
+and prune counts.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXPECTED = {
+    "exact-bnb": "6d907ef72b14501af544abbb0b1a5cbddb659366a597f19bd1e7f06f9df91415",
+    "greedy": "6b48381567841874eada7ac25468e6e6d2653391aa61d1679cc1d8f72dbd9b2e",
+    "audit": "c90717afa50dc745c6270147cff902c0a71844d33b68db9b5233e04b571ae222",
+}
+
+
+def test_smoke_fingerprints_are_unchanged():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--size", "smoke", "--seconds", "0", "--seed", "0"],  # fmt: skip
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got: dict[str, set[str]] = {}
+    workload = None
+    for line in proc.stdout.splitlines():
+        words = line.split()
+        if words[:1] == ["workload"]:
+            workload = words[1]
+        elif words[:1] == ["fingerprint"]:
+            got.setdefault(workload, set()).add(words[1])
+    assert got == {name: {fp} for name, fp in EXPECTED.items()}

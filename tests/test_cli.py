@@ -267,6 +267,21 @@ class TestMincover:
             )
             assert code == 0
 
+    def test_quoted_values_round_trip(self, capsys, tmp_path):
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text('div: 3 <= count(A="x\\"y") <= 6\ndiv: count(B="a\\\\b") <= 9\n')
+        code, out, _ = run(capsys, "mincover", "--constraints", str(sigma))
+        assert code == 0
+        assert out == (
+            'div: 3 <= count(A="x\\"y") <= 6\n'
+            'div: 0 <= count(B="a\\\\b") <= 9\n'
+        )
+        cover = tmp_path / "cover.txt"
+        cover.write_text(out)
+        code, again, _ = run(capsys, "mincover", "--constraints", str(cover))
+        assert code == 0
+        assert again == out
+
     def test_unsatisfiable_set(self, capsys, tmp_path):
         sigma = tmp_path / "sigma.txt"
         sigma.write_text(UNSAT_SET)

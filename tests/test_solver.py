@@ -327,3 +327,59 @@ class TestSolveGreedy:
                 continue
             reference = oracle_min_loss(problem)
             assert greedy.loss >= reference.loss
+
+
+def _golden_relation(rows):
+    return Relation(("A", "B", "C", "D"), [tuple(r) for r in rows])
+
+
+class TestGolden:
+    """Outcomes recorded before the solvers scored candidates from group
+    summaries; the same search must still make the same choices."""
+
+    def test_greedy_repair_with_rng_ties(self):
+        # Four repair steps; three of them draw among 6, 10 and 2 tied moves.
+        rows = ["baay", "babx", "babx", "aabx", "baby", "aaby", "aabx",
+                "bbby", "abax", "abax", "abbx", "baax", "baay"]  # fmt: skip
+        sigma = [
+            parse_constraint_line(line, k=3)
+            for line in (
+                'fair: ceil_k(C / R0 * (N - S("B"))) <= count(B="b")',
+                'fair: ceil_k(C / R0 * (N - S("C"))) <= count(C="a")',
+                'div: count(C="b") <= 0',
+            )
+        ]
+        problem = Problem(_golden_relation(rows), 3, ("A", "B", "C"), sigma, Limits(seed=5))
+        sol = solve_greedy(problem)
+        assert_valid_solution(problem, sol)
+        assert sol.clustering == Clustering([(0, 1, 12), (2, 4, 11), (3, 5, 6, 9), (7, 8, 10)])
+        assert sol.loss == 20
+        assert sol.stats.nodes_expanded == 276
+
+    def test_budgeted_exact_search(self):
+        rows = ["caax", "cbbx", "caax", "bbax", "bcax", "cccy", "abcx",
+                "cacy", "cacx", "bbax", "bbcx", "bbay", "abax", "abby"]  # fmt: skip
+        sigma = [
+            parse_constraint_line(line, k=3)
+            for line in (
+                'div: 3 <= count(A="a")',
+                'div: count(B="b", D="x") <= 3',
+                'fair: ceil_k(C / R0 * (N - S("A"))) <= count(A="b")',
+            )
+        ]
+        limits = Limits(max_nodes=4000)
+        problem = Problem(_golden_relation(rows), 3, ("A", "B", "C"), sigma, limits)
+        out = solve_exact(problem)
+        assert isinstance(out, Aborted)
+        assert_valid_solution(problem, out.best_so_far)
+        assert out.best_so_far.loss == 26
+        assert out.best_so_far.clustering == Clustering(
+            [(0, 1, 2, 3), (4, 9, 11), (5, 7, 8, 10), (6, 12, 13)]
+        )
+        assert out.stats.nodes_expanded == 4001
+        assert out.stats.prunes == {
+            "loss_bound": 4544,
+            "underfill": 8072,
+            "upper_bound": 168,
+            "lower_bound": 1987,
+        }
