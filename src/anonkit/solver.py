@@ -635,11 +635,11 @@ def solve_greedy(problem: Problem) -> Union[Solution, Unknown]:
     proj = ev.proj
 
     # Phase 1: groups of identical QI projection, in first-appearance
-    # order. Each group keeps its slot there, so slots order groups as
-    # their list positions would; a merge keeps the lower slot, and
-    # bumping both slots' versions retires the heap entries priced on
-    # the old contents. Popping (cost, slot, slot) is the scan over all
-    # pairs for min((cost, position, position)).
+    # order. Each group keeps its slot in that order and a merge keeps
+    # the lower slot, so slots order groups as list positions would, and
+    # popping the least (cost, slot, slot) picks the pair a scan for
+    # min((cost, position, position)) would. A merge bumps both slots'
+    # versions, which retires the heap entries priced on old contents.
     by_proj: dict[tuple, list[int]] = {}
     for i, p in enumerate(proj):
         by_proj.setdefault(p, []).append(i)
