@@ -2,7 +2,9 @@
 
 Every check resolves the constraint's bounds to numbers for the relation
 at hand and compares them with the observed target count, so a failing
-report always says which numbers disagreed.
+report always says which numbers disagreed. ``check_all`` counts the
+stars of every attribute of the output relation once and shares that
+tally among all its constraints.
 """
 
 from __future__ import annotations
@@ -66,7 +68,38 @@ def _resolve(
     return lo, hi
 
 
-def _report(rp: Relation, constraint: Constraint, ctx: EvalContext) -> SatReport:
+def _star_tally(rp: Relation) -> dict[str, int]:
+    return {a: count_stars(rp, a) for a in rp.schema}
+
+
+def _report(
+    r: Optional[Relation],
+    rp: Relation,
+    constraint: Constraint,
+    k: int,
+    star_counts: dict[str, int],
+) -> SatReport:
+    """Check one constraint of either kind, given rp's stars per attribute.
+
+    For fairness, C binds to the count of the constraint's own target in
+    the input relation r and R0 to the input size.
+    """
+    fair = constraint.kind is ConstraintKind.FAIRNESS
+    if fair:
+        if r is None:
+            raise ContractError("fairness constraint needs the input relation")
+        if r.schema != rp.schema:
+            raise ContractError("input and output relations have different schemas")
+        if r.n_rows != rp.n_rows:
+            raise ContractError("input and output relations have different row counts")
+    _validate_attributes(rp, constraint)
+    ctx = EvalContext(
+        k=k,
+        output_size=rp.n_rows,
+        star_counts=star_counts,
+        initial_target_count=count_target(r, constraint.target) if fair else None,
+        initial_size=r.n_rows if fair else None,
+    )
     observed = count_target(rp, constraint.target)
     lo, hi = _resolve(constraint, ctx)
     ok = lo <= observed and (hi is None or observed <= hi)
@@ -77,37 +110,18 @@ def check_diversity(rp: Relation, sigma: Constraint, k: int) -> SatReport:
     """Check one diversity constraint against the anonymized relation alone."""
     if sigma.kind is not ConstraintKind.DIVERSITY:
         raise ContractError("check_diversity got a non-diversity constraint")
-    _validate_attributes(rp, sigma)
-    ctx = EvalContext(
-        k=k,
-        output_size=rp.n_rows,
-        star_counts={a: count_stars(rp, a) for a in rp.schema},
-    )
-    return _report(rp, sigma, ctx)
+    return _report(None, rp, sigma, k, _star_tally(rp))
 
 
 def check_fairness(r: Relation, rp: Relation, eta: Constraint, k: int) -> SatReport:
     """Check one fairness constraint against the input/output relation pair.
 
-    C binds to the count of eta's own target in the input relation and R0
-    to the input size. Whether rp actually refines r is the caller's
-    job; only the shapes are compared here.
+    Whether rp actually refines r is the caller's job; only the shapes
+    are compared here.
     """
     if eta.kind is not ConstraintKind.FAIRNESS:
         raise ContractError("check_fairness got a non-fairness constraint")
-    if r.schema != rp.schema:
-        raise ContractError("input and output relations have different schemas")
-    if r.n_rows != rp.n_rows:
-        raise ContractError("input and output relations have different row counts")
-    _validate_attributes(rp, eta)
-    ctx = EvalContext(
-        k=k,
-        output_size=rp.n_rows,
-        star_counts={a: count_stars(rp, a) for a in rp.schema},
-        initial_target_count=count_target(r, eta.target),
-        initial_size=r.n_rows,
-    )
-    return _report(rp, eta, ctx)
+    return _report(r, rp, eta, k, _star_tally(rp))
 
 
 def check_all(
@@ -117,17 +131,11 @@ def check_all(
     k: int,
 ) -> list[SatReport]:
     """Check every constraint; fairness ones need the input relation."""
+    star_counts = _star_tally(rp) if constraints else {}
     reports = []
     for i, c in enumerate(constraints):
         try:
-            if c.kind is ConstraintKind.DIVERSITY:
-                reports.append(check_diversity(rp, c, k))
-            else:
-                if r is None:
-                    raise ContractError(
-                        "fairness constraint needs the input relation"
-                    )
-                reports.append(check_fairness(r, rp, c, k))
+            reports.append(_report(r, rp, c, k, star_counts))
         except SchemaError as e:
             raise SchemaError(f"constraint {i + 1} ({c.target}): {e}") from e
     return reports

@@ -22,7 +22,7 @@ from . import __version__
 from .checking import SatReport, all_satisfied, check_all
 from .constraints import Constraint, ConstraintKind, FrequencyRange, Literal
 from .dsl import format_constraint, parse_constraint_line, parse_constraints
-from .errors import AnonError
+from .errors import AnonError, ContractError
 from .inference import (
     FixedConstraint,
     InferenceOutcome,
@@ -33,7 +33,7 @@ from .inference import (
     to_fixed,
     to_fixed_all,
 )
-from .relation import Relation, TargetValue, dump_relation, load_relation
+from .relation import Relation, TargetValue, dump_relation, load_relation, refines
 from .solver import (
     Aborted,
     Infeasible,
@@ -129,6 +129,8 @@ def cmd_validate(args) -> int:
     initial = None
     if args.initial is not None:
         initial = load_relation(Path(args.initial).read_text(), star_token=args.star)
+        if not refines(initial, rp):
+            raise ContractError(f"{args.input} is not a cell suppression of {args.initial}")
     constraints = parse_constraints(Path(args.constraints).read_text(), args.k)
     reports = check_all(initial, rp, constraints, args.k)
     ok = all_satisfied(reports)

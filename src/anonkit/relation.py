@@ -11,6 +11,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import countOf, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import ContractError, IngestError, SchemaError
@@ -181,18 +182,15 @@ def count_target(relation: Relation, target: TargetValue) -> int:
 
     The suppression mark never matches a concrete value.
     """
-    indexed = [(relation.column_index(a), v) for a, v in target.sorted_entries()]
-    return sum(
-        1
-        for row in relation.rows
-        if all(row[idx] == value for idx, value in indexed)
-    )
+    entries = target.sorted_entries()
+    get = itemgetter(*(relation.column_index(a) for a, _ in entries))
+    want = entries[0][1] if len(entries) == 1 else tuple(v for _, v in entries)
+    return countOf(map(get, relation.rows), want)
 
 
 def count_stars(relation: Relation, attribute: str) -> int:
     """Number of suppressed cells in one attribute."""
-    idx = relation.column_index(attribute)
-    return sum(1 for row in relation.rows if is_star(row[idx]))
+    return countOf(map(itemgetter(relation.column_index(attribute)), relation.rows), STAR)
 
 
 def refines(original: Relation, suppressed: Relation) -> bool:
@@ -233,4 +231,4 @@ def is_k_anonymous(relation: Relation, qi: Sequence[str], k: int) -> bool:
 
 def info_loss(relation: Relation) -> int:
     """Total number of suppressed cells across the whole relation."""
-    return sum(1 for row in relation.rows for cell in row if is_star(cell))
+    return sum(count_stars(relation, a) for a in relation.schema)

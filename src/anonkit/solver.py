@@ -408,10 +408,6 @@ class _Evaluator:
 # --- branch and bound ---------------------------------------------------
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class _StaticBound:
     """A constant count bound, split into QI and pass-through target parts.
@@ -529,25 +525,13 @@ def solve_exact(problem: Problem) -> SolveResult:
                     return "lower_bound"
         return None
 
-    def assign(i: int) -> None:
-        nonlocal best, loss, deficit
-        stats.nodes_expanded += 1
-        if limits.max_nodes is not None and stats.nodes_expanded > limits.max_nodes:
-            raise _BudgetExceeded
-        if (
-            limits.time_budget is not None
-            and time.monotonic() - start > limits.time_budget
-        ):
-            raise _BudgetExceeded
-        if i == n:
-            if deficit:
-                return
-            totals = ev.totals(map(ev.summary, groups, unis))
-            if ev.violations(totals):
-                return
-            if best is None or totals[0] < best[0]:
-                best = (totals[0], Clustering([tuple(g) for g in groups]))
-            return
+    def placements(i: int):
+        """Put row i in each existing group, then in a new one.
+
+        Yields once per placement no prune rules out, with that placement
+        in force; the next resumption takes it back.
+        """
+        nonlocal loss, deficit
         proj = ev.proj[i]
         for slot in range(len(groups) + 1):
             if slot == len(groups):
@@ -574,7 +558,7 @@ def solve_exact(problem: Problem) -> SolveResult:
                 if reason is not None:
                     stats.prunes[reason] += 1
                     continue
-                assign(i + 1)
+                yield True
             finally:
                 loss -= added
                 deficit += filled
@@ -585,11 +569,36 @@ def solve_exact(problem: Problem) -> SolveResult:
                     groups[slot].pop()
                     unis[slot] = old_uni
 
+    # Depth-first without recursion: the stack holds one placements()
+    # generator per row placed so far, so its depth is the next row.
+    stack = []
     aborted = False
-    try:
-        assign(0)
-    except _BudgetExceeded:
-        aborted = True
+    nodes = 0
+    max_nodes, time_budget = limits.max_nodes, limits.time_budget
+    while True:
+        # Enter the node whose rows 0..len(stack)-1 are placed.
+        nodes += 1
+        if (max_nodes is not None and nodes > max_nodes) or (
+            time_budget is not None and time.monotonic() - start > time_budget
+        ):
+            aborted = True
+            break
+        depth = len(stack)
+        if depth < n:
+            stack.append(placements(depth))
+        elif not deficit:
+            totals = ev.totals(map(ev.summary, groups, unis))
+            if not ev.violations(totals) and (best is None or totals[0] < best[0]):
+                best = (totals[0], Clustering([tuple(g) for g in groups]))
+        # Resume the deepest row with placements left, dropping spent ones.
+        while stack and not next(stack[-1], False):
+            stack.pop()
+        if not stack:
+            break
+    while stack:  # after an abort: undo the placements in force, deepest first
+        stack.pop().close()
+    stats.nodes_expanded = nodes
+
     solution = None
     if best is not None:
         clustering = best[1]

@@ -151,6 +151,42 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_rewritten_values_are_not_a_suppression(self, capsys, tmp_path):
+        initial = tmp_path / "init.csv"
+        initial.write_text("A,B\nx,1\ny,2\n")
+        out = tmp_path / "out.csv"
+        out.write_text("A,B\nz,*\nz,*\n")
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text('div: count(A="z") <= 3\n')
+        code, stdout, err = run(
+            capsys,
+            "validate",
+            "--input", str(out),
+            "--initial", str(initial),
+            "--constraints", str(sigma),
+            "--k", "3",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {out} is not a cell suppression of {initial}\n"
+
+    def test_row_count_mismatch_with_diversity_only(self, capsys, files, tmp_path):
+        short = tmp_path / "short.csv"
+        short.write_text("".join(R2_CSV.splitlines(keepends=True)[:7]))
+        files["sigma"].write_text(ASIAN_RANGE_LINE + "\n")
+        code, _, err = run(
+            capsys,
+            "validate",
+            "--input", str(short),
+            "--initial", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", "3",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "is not a cell suppression of" in err
+        assert err.count("\n") == 1
+
 
 class TestImplies:
     def test_not_implied(self, capsys, tmp_path):
@@ -362,6 +398,30 @@ class TestAnonymize:
         payload = json.loads(files["report"].read_text())
         assert payload["outcome"] == "aborted"
         assert "loss" not in payload
+
+    def test_deep_search_aborts_without_recursion_error(self, capsys, files):
+        # 1,500 rows put the search 1,500 levels deep before its first leaf.
+        values = ("x", "y", "z")
+        rows = [f"{values[i % 3]},{values[i // 3 % 3]}\n" for i in range(1500)]
+        files["initial"].write_text("A,B\n" + "".join(rows))
+        files["sigma"].write_text("")
+        code, _, err = run(
+            capsys,
+            "anonymize",
+            "--input", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", "2",
+            "--qi", "A,B",
+            "--mode", "exact",
+            "--max-nodes", "3000",
+            "--out", str(files["out"]),
+            "--report", str(files["report"]),
+        )
+        assert code == 3
+        assert files["out"].exists()
+        assert err.count("\n") == 1
+        assert err.startswith("aborted")
+        assert json.loads(files["report"].read_text())["stats"]["nodes_expanded"] == 3001
 
     def test_report_ends_with_newline(self, capsys, files):
         self.anonymize(capsys, files, ASIAN_RANGE_LINE + "\n", "greedy")
