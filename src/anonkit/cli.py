@@ -22,7 +22,7 @@ from . import __version__
 from .checking import SatReport, all_satisfied, check_all
 from .constraints import Constraint, ConstraintKind, FrequencyRange, Literal
 from .dsl import format_constraint, parse_constraint_line, parse_constraints
-from .errors import AnonError, ContractError
+from .errors import AnonError, ContractError, IngestError, InferenceError
 from .inference import (
     FixedConstraint,
     InferenceOutcome,
@@ -113,6 +113,13 @@ def _range_str(lo: int, hi: Optional[int]) -> str:
     return f"[{lo},{'+inf' if hi is None else hi}]"
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise IngestError(f"{path}: not valid UTF-8 (byte offset {e.start}: {e.reason})") from None
+
+
 # --- subcommands ----------------------------------------------------------
 
 
@@ -125,13 +132,13 @@ def cmd_validate(args) -> int:
         k=args.k,
         star_token=args.star,
     )
-    rp = load_relation(Path(args.input).read_text(), star_token=args.star)
+    rp = load_relation(_read_text(args.input), star_token=args.star)
     initial = None
     if args.initial is not None:
-        initial = load_relation(Path(args.initial).read_text(), star_token=args.star)
+        initial = load_relation(_read_text(args.initial), star_token=args.star)
         if not refines(initial, rp):
             raise ContractError(f"{args.input} is not a cell suppression of {args.initial}")
-    constraints = parse_constraints(Path(args.constraints).read_text(), args.k)
+    constraints = parse_constraints(_read_text(args.constraints), args.k)
     reports = check_all(initial, rp, constraints, args.k)
     ok = all_satisfied(reports)
 
@@ -152,7 +159,7 @@ def cmd_validate(args) -> int:
 
 
 def _load_fixed(path: str) -> list[FixedConstraint]:
-    return to_fixed_all(parse_constraints(Path(path).read_text()))
+    return to_fixed_all(parse_constraints(_read_text(path)))
 
 
 def _trace_json(outcome: InferenceOutcome) -> list[dict]:
@@ -226,10 +233,12 @@ def cmd_satisfiable(args) -> int:
 
 def cmd_mincover(args) -> int:
     sigma = _load_fixed(args.constraints)
-    if isinstance(is_satisfiable(sigma), Unsatisfiable):
+    try:
+        cover = minimal_cover(sigma)  # checks satisfiability first
+    except InferenceError:
         print("error: constraint set is unsatisfiable", file=sys.stderr)
         return 1
-    for fc in minimal_cover(sigma):
+    for fc in cover:
         lo = Literal(fc.bounds.lo)  # printed even when it is 0
         hi = None if fc.bounds.hi is None else Literal(fc.bounds.hi)
         print(format_constraint(Constraint(ConstraintKind.DIVERSITY, fc.target, lo, hi)))
@@ -251,8 +260,8 @@ def cmd_anonymize(args) -> int:
         out_path=args.out,
         report_path=args.report,
     )
-    relation = load_relation(Path(args.input).read_text())
-    constraints = parse_constraints(Path(args.constraints).read_text(), args.k)
+    relation = load_relation(_read_text(args.input))
+    constraints = parse_constraints(_read_text(args.constraints), args.k)
     limits = Limits(max_nodes=args.max_nodes, time_budget=args.time_budget, seed=args.seed)
     problem = Problem(relation, args.k, qi, constraints, limits)
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .constraints import (
     BinOp,
@@ -36,39 +34,48 @@ from .errors import LintWarning, ParseError, SemanticError
 from .relation import TargetValue
 
 
+# Each match is leading whitespace plus one token, a comment, or the end of
+# the line. Only tokens are named groups, so the other two have no
+# lastgroup. The catch-all `bad` makes every non-space character start some
+# token, so finditer walks the line without gaps or backtracking.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<leq><=)
-  | (?P<punct>[():,=+\-*/])
+    \s*
+    (?:
+        \#.*
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<punct><=|[():,=+\-*/])
+      | (?P<bad>\S)
+      | \Z
+    )
     """,
     re.VERBOSE,
 )
 
+_END = "end"
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+# (kind, text, column); plain tuples are the cheapest to build.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str, line_no: int) -> list[_Token]:
+    """The line's tokens, closed by an end marker just past the last one."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+    end = 1
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
+        if kind is None:
+            continue
+        column = m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line_no, column)
+        end = m.end() + 1
+        tokens.append((kind, m[kind], column))
+    tokens.append((_END, "", end))
     return tokens
 
 
@@ -82,179 +89,147 @@ def _quote(value: str) -> str:
 
 
 class _LineParser:
-    """Recursive descent over one constraint line."""
+    """Recursive descent over one constraint line.
+
+    The token list ends in an end marker that no step consumes, so the
+    current token always exists.
+    """
 
     def __init__(self, tokens: list[_Token], line_no: int):
         self.tokens = tokens
         self.line_no = line_no
         self.pos = 0
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line", self.line_no, self._end_col())
+        tok = self.tokens[self.pos]
+        if tok[0] == _END:
+            raise ParseError("unexpected end of line", self.line_no, tok[2])
         self.pos += 1
         return tok
 
-    def _end_col(self) -> int:
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.column + len(last.text)
-        return 1
+    def error(self, message: str, tok: _Token, cls: type = ParseError) -> Exception:
+        return cls(message, self.line_no, tok[2])
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.column)
-        return tok
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, got {tok[1]!r}", tok)
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.tokens[self.pos][1] == text
 
     def parse_constraint(self) -> Constraint:
         head = self.next()
-        if head.kind != "ident" or head.text not in ("div", "fair"):
-            raise ParseError(
-                f"expected 'div' or 'fair', got {head.text!r}", head.line, head.column
-            )
-        kind = ConstraintKind.DIVERSITY if head.text == "div" else ConstraintKind.FAIRNESS
+        kind_name, text, _ = head
+        if kind_name != "ident" or text not in ("div", "fair"):
+            raise self.error(f"expected 'div' or 'fair', got {text!r}", head)
+        kind = ConstraintKind.DIVERSITY if text == "div" else ConstraintKind.FAIRNESS
         self.kind = kind
         self.expect(":")
 
         lower = None
-        if not self._at_count():
+        if self.tokens[self.pos][:2] != ("ident", "count"):
             lower = self.parse_bound()
             self.expect("<=")
 
-        self._expect_count()
+        tok = self.next()
+        if tok[:2] != ("ident", "count"):
+            raise self.error(f"expected 'count', got {tok[1]!r}", tok)
         self.expect("(")
-        target = self.parse_target(head)
+        target = self.parse_target()
         self.expect(")")
 
         upper = None
         if self.at("<="):
-            self.next()
+            self.pos += 1
             upper = self.parse_bound()
 
-        trailing = self.peek()
-        if trailing is not None:
-            raise ParseError(
-                f"trailing input: {trailing.text!r}", trailing.line, trailing.column
-            )
+        trailing = self.tokens[self.pos]
+        if trailing[0] != _END:
+            raise self.error(f"trailing input: {trailing[1]!r}", trailing)
         if lower is None and upper is None:
-            raise SemanticError(
-                "constraint needs at least one bound", head.line, head.column
-            )
-        return Constraint(kind=kind, target=target, lower=lower, upper=upper)
+            raise self.error("constraint needs at least one bound", head, SemanticError)
+        return Constraint(kind, target, lower, upper)
 
-    def _at_count(self) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "ident" and tok.text == "count"
-
-    def _expect_count(self) -> None:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text != "count":
-            raise ParseError(f"expected 'count', got {tok.text!r}", tok.line, tok.column)
-
-    def parse_target(self, head: _Token) -> TargetValue:
+    def parse_target(self) -> TargetValue:
         pairs: list[tuple[str, str]] = []
         seen: set[str] = set()
         while True:
             attr = self.next()
-            if attr.kind != "ident":
-                raise ParseError(
-                    f"expected attribute name, got {attr.text!r}", attr.line, attr.column
-                )
+            if attr[0] != "ident":
+                raise self.error(f"expected attribute name, got {attr[1]!r}", attr)
             self.expect("=")
             value = self.next()
-            if value.kind != "string":
-                raise ParseError(
-                    f"expected quoted value, got {value.text!r}", value.line, value.column
-                )
-            if attr.text in seen:
-                raise SemanticError(
-                    f"attribute {attr.text!r} repeated in target", attr.line, attr.column
-                )
-            seen.add(attr.text)
-            pairs.append((attr.text, _unquote(value.text)))
-            if self.at(","):
-                self.next()
-                continue
-            break
-        return TargetValue(pairs)
+            if value[0] != "string":
+                raise self.error(f"expected quoted value, got {value[1]!r}", value)
+            name = attr[1]
+            if name in seen:
+                raise self.error(f"attribute {name!r} repeated in target", attr, SemanticError)
+            seen.add(name)
+            pairs.append((name, _unquote(value[1])))
+            if not self.at(","):
+                return TargetValue(pairs)
+            self.pos += 1
 
     def parse_bound(self) -> BoundExpr:
-        tok = self.peek()
-        if tok is not None and tok.kind == "ident" and tok.text in ("ceil_k", "floor_k"):
-            self.next()
-            mode = RoundMode.UP if tok.text == "ceil_k" else RoundMode.DOWN
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "ident" and text in ("ceil_k", "floor_k"):
+            self.pos += 1
             self.expect("(")
             inner = self.parse_arith()
             self.expect(")")
-            return Round(mode, inner)
+            return Round(RoundMode.UP if text == "ceil_k" else RoundMode.DOWN, inner)
         return self.parse_arith()
 
-    def parse_arith(self) -> BoundExpr:
-        node = self.parse_term()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> BoundExpr:
+    def parse_arith(self, min_prec: int = 1) -> BoundExpr:
+        """Operators bind by _PRECEDENCE and associate to the left."""
         node = self.parse_factor()
-        while self.at("*") or self.at("/"):
-            op = self.next()
-            right = self.parse_factor()
-            if op.text == "/" and isinstance(right, Literal) and right.value == 0:
-                raise SemanticError("division by zero", op.line, op.column)
-            node = BinOp(op.text, node, right)
-        return node
+        while True:
+            op = self.tokens[self.pos]
+            prec = _PRECEDENCE.get(op[1], 0)
+            if prec < min_prec:
+                return node
+            self.pos += 1
+            right = self.parse_arith(prec + 1)
+            if op[1] == "/" and isinstance(right, Literal) and right.value == 0:
+                raise self.error("division by zero", op, SemanticError)
+            node = BinOp(op[1], node, right)
 
     def parse_factor(self) -> BoundExpr:
         tok = self.next()
-        if tok.kind == "number":
-            return Literal(Fraction(tok.text))
-        if tok.text == "(":
+        kind, text, _ = tok
+        if kind == "number":
+            return Literal(Fraction(text) if "." in text else int(text))
+        if text == "(":
             node = self.parse_arith()
             self.expect(")")
             return node
-        if tok.kind == "ident":
-            if tok.text == "N":
+        if kind == "ident":
+            if text == "N":
                 return Var(VarKind.OUTPUT_SIZE)
-            if tok.text == "R0":
+            if text == "R0":
                 self._check_initial_stat(tok)
                 return Var(VarKind.INITIAL_SIZE)
-            if tok.text == "C":
+            if text == "C":
                 self._check_initial_stat(tok)
                 return Var(VarKind.INITIAL_TARGET_COUNT)
-            if tok.text == "S":
+            if text == "S":
                 self.expect("(")
                 arg = self.next()
-                if arg.kind != "string":
-                    raise ParseError(
-                        f"expected quoted attribute, got {arg.text!r}",
-                        arg.line,
-                        arg.column,
-                    )
+                if arg[0] != "string":
+                    raise self.error(f"expected quoted attribute, got {arg[1]!r}", arg)
                 self.expect(")")
-                return StarCount(_unquote(arg.text))
-            if tok.text in ("ceil_k", "floor_k"):
-                raise ParseError(
-                    f"{tok.text} only applies to a whole bound", tok.line, tok.column
-                )
-        raise ParseError(f"expected a value, got {tok.text!r}", tok.line, tok.column)
+                return StarCount(_unquote(arg[1]))
+            if text in ("ceil_k", "floor_k"):
+                raise self.error(f"{text} only applies to a whole bound", tok)
+        raise self.error(f"expected a value, got {text!r}", tok)
 
     def _check_initial_stat(self, tok: _Token) -> None:
         if self.kind is ConstraintKind.DIVERSITY:
-            raise SemanticError(
-                f"{tok.text} reads the input relation; only fairness constraints may",
-                tok.line,
-                tok.column,
+            raise self.error(
+                f"{tok[1]} reads the input relation; only fairness constraints may",
+                tok,
+                SemanticError,
             )
 
 
@@ -282,7 +257,7 @@ def _lint(constraint: Constraint, k: int, line_no: int) -> None:
 def parse_constraint_line(line: str, k: int = 1, line_no: int = 1) -> Constraint:
     """Parse a single constraint line. Blank or comment-only input is an error."""
     tokens = _tokenize(line, line_no)
-    if not tokens:
+    if tokens[0][0] == _END:
         raise ParseError("expected a constraint", line_no, 1)
     constraint = _LineParser(tokens, line_no).parse_constraint()
     _lint(constraint, k, line_no)
@@ -294,15 +269,12 @@ def parse_constraints(text: str, k: int = 1) -> list[Constraint]:
     out: list[Constraint] = []
     for i, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line, i)
-        if not tokens:
+        if tokens[0][0] == _END:
             continue
         constraint = _LineParser(tokens, i).parse_constraint()
         _lint(constraint, k, i)
         out.append(constraint)
     return out
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _prec(expr: BoundExpr) -> int:

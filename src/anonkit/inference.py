@@ -90,26 +90,50 @@ class InferenceOutcome:
     trace: tuple[TraceStep, ...]
 
 
+class _TargetIndex:
+    """Positions of a constraint set's members, looked up by target pair.
+
+    A target equal to, inside or containing the queried one shares at
+    least one pair with it, so a derivation needs only the members
+    listed under the queried target's pairs.
+    """
+
+    def __init__(self, sigma: Sequence[FixedConstraint]):
+        self.by_pair: dict[tuple[str, str], list[int]] = {}
+        for i, c in enumerate(sigma):
+            for pair in c.target.entries:
+                self.by_pair.setdefault(pair, []).append(i)
+
+    def sharing(self, tv: TargetValue) -> list[int]:
+        """Positions, ascending, of the members whose target shares a pair with tv."""
+        return sorted(set().union(*(self.by_pair.get(p, ()) for p in tv.entries)))
+
+
 def range_for_target(
     sigma: Sequence[FixedConstraint], tv: TargetValue
 ) -> tuple[FrequencyRange, tuple[TraceStep, ...]]:
-    """The tightest range the constraint set forces on tv, with its derivation."""
+    """The tightest range the constraint set forces on tv, with its derivation.
+
+    Steps follow the set's order; the last one is the intersection.
+    """
+    entries = tv.entries
     delta = UNIVERSAL_RANGE
     steps: list[TraceStep] = []
     for c in sigma:
-        if c.target == tv:
+        other = c.target.entries
+        if not (other <= entries or entries < other):
+            continue
+        if other == entries:
             contributed = c.bounds
             axiom = Axiom.FIXED_ATTRIBUTES
-        elif c.target.is_strict_subset(tv):
+        elif other < entries:
             # Rows matching tv also match the smaller target, so its
             # upper bound carries over; its lower bound does not.
             contributed = FrequencyRange(0, c.bounds.hi)
             axiom = Axiom.ATTRIBUTE_EXTENSION
-        elif tv.is_strict_subset(c.target):
+        else:
             contributed = FrequencyRange(c.bounds.lo, None)
             axiom = Axiom.ATTRIBUTE_REDUCTION
-        else:
-            continue
         steps.append(TraceStep(axiom, contributed, c))
         delta = delta.intersect(contributed)
     steps.append(TraceStep(Axiom.RANGE_INTERSECTION, delta))
@@ -171,9 +195,13 @@ def is_satisfiable(sigma: Sequence[FixedConstraint]) -> SatisfiabilityResult:
     visited smallest first, so the reported false constraint sits on the
     least specific conflicting target.
     """
+    return _check(sigma, _TargetIndex(sigma))
+
+
+def _check(sigma: Sequence[FixedConstraint], index: _TargetIndex) -> SatisfiabilityResult:
     witness: dict[TargetValue, int] = {}
     for tv in _sorted_targets(sigma):
-        delta, _ = range_for_target(sigma, tv)
+        delta, _ = range_for_target([sigma[i] for i in index.sharing(tv)], tv)
         if delta.is_empty:
             return Unsatisfiable(FixedConstraint(tv, delta))
         witness[tv] = delta.lo
@@ -186,11 +214,12 @@ def minimal_cover(sigma: Sequence[FixedConstraint]) -> list[FixedConstraint]:
     Single pass in input order; a removal is permanent. Different orders
     can produce different covers, all equally minimal.
     """
-    if isinstance(is_satisfiable(sigma), Unsatisfiable):
+    index = _TargetIndex(sigma)
+    if isinstance(_check(sigma, index), Unsatisfiable):
         raise InferenceError("minimal cover is undefined for an unsatisfiable set")
     kept = [True] * len(sigma)
     for i, candidate in enumerate(sigma):
-        rest = [c for j, c in enumerate(sigma) if kept[j] and j != i]
-        if implies(rest, candidate).implied:
+        rest = [sigma[j] for j in index.sharing(candidate.target) if kept[j] and j != i]
+        if range_for_target(rest, candidate.target)[0].issubset(candidate.bounds):
             kept[i] = False
     return [c for i, c in enumerate(sigma) if kept[i]]

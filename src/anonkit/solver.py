@@ -30,6 +30,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 from .checking import SatReport, _resolve, check_all, referenced_star_attributes
@@ -440,6 +441,11 @@ def _static_bounds(problem: Problem) -> list[_StaticBound]:
     return out
 
 
+def _suffix_counts(flags: Sequence[bool]) -> list[int]:
+    """out[i] is the number of true flags at positions i.., with out[len] = 0."""
+    return list(accumulate(reversed(flags), initial=0))[::-1]
+
+
 def solve_exact(problem: Problem) -> SolveResult:
     """Branch and bound over partitions; optimal when it completes.
 
@@ -486,15 +492,9 @@ def solve_exact(problem: Problem) -> SolveResult:
         [qi_match[s][i] and _row_matches(rows[i], statics[s].other_part) for i in range(n)]
         for s in range(len(statics))
     ]
-    # Suffix counts over rows i..n-1.
-    suffix_non_qi_match = [
-        [sum(1 for j in range(i, n) if not qi_match[s][j]) for i in range(n + 1)]
-        for s in range(len(statics))
-    ]
-    suffix_full_match = [
-        [sum(1 for j in range(i, n) if full_match[s][j]) for i in range(n + 1)]
-        for s in range(len(statics))
-    ]
+    # Suffix counts over rows i..n-1, for i = 0..n.
+    suffix_non_qi_match = [_suffix_counts([not m for m in qm]) for qm in qi_match]
+    suffix_full_match = [_suffix_counts(fm) for fm in full_match]
 
     groups: list[list[int]] = []
     unis: list[tuple] = []  # each group's output QI projection

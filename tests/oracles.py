@@ -11,7 +11,18 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from anonkit import FixedConstraint, FrequencyRange, Relation, TargetValue
+from anonkit import (
+    Axiom,
+    FixedConstraint,
+    FrequencyRange,
+    InferenceError,
+    Relation,
+    Satisfiable,
+    TargetValue,
+    UNIVERSAL_RANGE,
+    Unsatisfiable,
+)
+from anonkit.inference import TraceStep
 
 ATTRS = ("A", "B", "C")
 VALUES = ("a", "b", "c")
@@ -87,6 +98,55 @@ def closure_range(
     for pair in derived:
         tightest = _intersect(tightest, pair)
     return FrequencyRange(tightest[0], tightest[1])
+
+
+def scan_range_for_target(
+    sigma: Sequence[FixedConstraint], tv: TargetValue
+) -> tuple[FrequencyRange, tuple[TraceStep, ...]]:
+    """Derived range and trace by comparing tv with every member of the set."""
+    delta = UNIVERSAL_RANGE
+    steps: list[TraceStep] = []
+    for c in sigma:
+        if c.target == tv:
+            contributed = c.bounds
+            axiom = Axiom.FIXED_ATTRIBUTES
+        elif c.target.is_strict_subset(tv):
+            contributed = FrequencyRange(0, c.bounds.hi)
+            axiom = Axiom.ATTRIBUTE_EXTENSION
+        elif tv.is_strict_subset(c.target):
+            contributed = FrequencyRange(c.bounds.lo, None)
+            axiom = Axiom.ATTRIBUTE_REDUCTION
+        else:
+            continue
+        steps.append(TraceStep(axiom, contributed, c))
+        delta = delta.intersect(contributed)
+    steps.append(TraceStep(Axiom.RANGE_INTERSECTION, delta))
+    return delta, tuple(steps)
+
+
+def scan_is_satisfiable(sigma: Sequence[FixedConstraint]):
+    """Satisfiability from a full scan per target, smallest target first."""
+    targets = sorted({c.target for c in sigma}, key=lambda tv: (len(tv), tv.sorted_entries()))
+    witness = {}
+    for tv in targets:
+        delta, _ = scan_range_for_target(sigma, tv)
+        if delta.is_empty:
+            return Unsatisfiable(FixedConstraint(tv, delta))
+        witness[tv] = delta.lo
+    return Satisfiable(witness)
+
+
+def scan_minimal_cover(sigma: Sequence[FixedConstraint]) -> list[FixedConstraint]:
+    """One pass in input order; each member is tested against the rest kept."""
+    if isinstance(scan_is_satisfiable(sigma), Unsatisfiable):
+        raise InferenceError("minimal cover is undefined for an unsatisfiable set")
+    kept = [True] * len(sigma)
+    for i, candidate in enumerate(sigma):
+        rest = [c for j, c in enumerate(sigma) if kept[j] and j != i]
+        delta, _ = scan_range_for_target(rest, candidate.target)
+        if delta.issubset(candidate.bounds):
+            kept[i] = False
+    return [c for i, c in enumerate(sigma) if kept[i]]
 
 
 def random_target(rng: random.Random, max_attrs: int = 3) -> TargetValue:

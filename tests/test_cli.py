@@ -326,6 +326,26 @@ class TestMincover:
         assert out == ""
         assert "unsatisfiable" in err
 
+    def test_satisfiability_is_checked_once(self, capsys, tmp_path, monkeypatch):
+        import anonkit.inference
+
+        # is_satisfiable and minimal_cover both check through _check.
+        calls = []
+        real = anonkit.inference._check
+
+        def counting(sigma, index):
+            calls.append(len(sigma))
+            return real(sigma, index)
+
+        monkeypatch.setattr(anonkit.inference, "_check", counting)
+        for text, expected_code in ((REDUNDANT_SET, 0), (UNSAT_SET, 1)):
+            sigma = tmp_path / "sigma.txt"
+            sigma.write_text(text)
+            calls.clear()
+            code, _, _ = run(capsys, "mincover", "--constraints", str(sigma))
+            assert code == expected_code
+            assert calls == [2]
+
 
 class TestAnonymize:
     def anonymize(self, capsys, files, constraints, mode, *extra):
@@ -479,6 +499,78 @@ class TestAnonymize:
         )
         assert code == 2
         assert "suppressed" in err
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is bad input: exit 2, one line naming it."""
+
+    BAD_BYTES = 'div: 1 <= count(A="x")\xff\n'.encode("latin-1")
+
+    def check(self, capsys, bad, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not valid UTF-8 (byte offset 22: invalid start byte)\n"
+
+    def test_satisfiable(self, capsys, tmp_path):
+        bad = tmp_path / "sigma.txt"
+        bad.write_bytes(self.BAD_BYTES)
+        self.check(capsys, bad, "satisfiable", "--constraints", str(bad))
+
+    def test_implies_and_mincover(self, capsys, tmp_path):
+        bad = tmp_path / "sigma.txt"
+        bad.write_bytes(self.BAD_BYTES)
+        self.check(capsys, bad, "implies", "--constraints", str(bad), "--query", QUERY_LINE)
+        self.check(capsys, bad, "mincover", "--constraints", str(bad))
+
+    def test_validate_constraints(self, capsys, files):
+        files["sigma"].write_bytes(self.BAD_BYTES)
+        self.check(
+            capsys,
+            files["sigma"],
+            "validate",
+            "--input", str(files["r2"]),
+            "--initial", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", "3",
+        )
+
+    @pytest.mark.parametrize("which", ["r2", "initial"])
+    def test_validate_csv(self, capsys, files, which):
+        files[which].write_bytes(b"GEN,ETH\nF\xe9male,Asian\n")
+        code, out, err = run(
+            capsys,
+            "validate",
+            "--input", str(files["r2"]),
+            "--initial", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {files[which]}: not valid UTF-8 "
+            "(byte offset 9: invalid continuation byte)\n"
+        )
+
+    @pytest.mark.parametrize("which", ["initial", "sigma"])
+    def test_anonymize(self, capsys, files, which):
+        files["sigma"].write_text(ASIAN_RANGE_LINE + "\n")
+        files[which].write_bytes(files[which].read_bytes() + b"\xff\n")
+        code, out, err = run(
+            capsys,
+            "anonymize",
+            "--input", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", "3",
+            "--qi", "GEN,ETH",
+            "--mode", "greedy",
+            "--out", str(files["out"]),
+            "--report", str(files["report"]),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {files[which]}: not valid UTF-8 (byte offset ")
+        assert err.count("\n") == 1
+        assert not files["out"].exists() and not files["report"].exists()
 
 
 @pytest.mark.skipif(shutil.which("anon") is None, reason="script not on PATH")

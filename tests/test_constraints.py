@@ -224,3 +224,11 @@ class TestConstraintValidation:
             upper=Literal(Fraction("7.5")),
         )
         assert c.fixed_bounds() == (3, 7)
+
+    def test_literals_are_non_negative_fractions(self):
+        for bad in (-1, Fraction(-1, 2), Fraction(1, -3)):
+            with pytest.raises(ContractError):
+                Literal(bad)
+        for good in (0, 7, Fraction(1, 2)):
+            assert Literal(good).value == good
+            assert type(Literal(good).value) is Fraction

@@ -135,6 +135,106 @@ class TestSemanticErrors:
             parse_constraint_line('div: N / (0) <= count(A="x")')
 
 
+# (how, text, error type, message, line, column). The CLI prints these
+# messages and positions, so each one is pinned exactly. "line" parses
+# with parse_constraint_line, "file" with parse_constraints.
+PINNED_ERRORS = [
+    ("line", 'div: 3 <= count(A="x") <= $', ParseError, "line 1, col 27: unexpected character '$'", 1, 27),
+    ("line", 'div: 3 <= count(A="x") ~ 4', ParseError, "line 1, col 24: unexpected character '~'", 1, 24),
+    ("line", 'div: 3 <= count(A="café") <= é', ParseError, "line 1, col 30: unexpected character 'é'", 1, 30),
+    ("line", 'div: 1. <= count(A="x")', ParseError, "line 1, col 7: unexpected character '.'", 1, 7),
+    ("line", 'div: 3 <= count(A="x)', ParseError, "line 1, col 19: unexpected character '\"'", 1, 19),
+    ("line", 'div: 3 <= count(A="x\\"', ParseError, "line 1, col 19: unexpected character '\"'", 1, 19),
+    ("line", 'div: 3 <= count(A="x"', ParseError, "line 1, col 22: unexpected end of line", 1, 22),
+    ("line", 'div: 3 <= count(A="x"   # comment', ParseError, "line 1, col 22: unexpected end of line", 1, 22),
+    ("line", "div:", ParseError, "line 1, col 5: unexpected end of line", 1, 5),
+    ("line", "div: 3 <=", ParseError, "line 1, col 10: unexpected end of line", 1, 10),
+    ("line", 'div: 3 <= count(A="x") <= 6 7', ParseError, "line 1, col 29: trailing input: '7'", 1, 29),
+    ("line", 'div: 3 <= count(A="x") <= 6 )', ParseError, "line 1, col 29: trailing input: ')'", 1, 29),
+    ("line", 'div: 3 <= cnt(A="x")', ParseError, "line 1, col 11: expected 'count', got 'cnt'", 1, 11),
+    ("line", 'div: 3 <= 4 <= count(A="x")', ParseError, "line 1, col 11: expected 'count', got '4'", 1, 11),
+    ("line", 'div: 1 + ceil_k(N) <= count(A="x")', ParseError, "line 1, col 10: ceil_k only applies to a whole bound", 1, 10),
+    ("line", 'div: ceil_k(floor_k(N)) <= count(A="x")', ParseError, "line 1, col 13: floor_k only applies to a whole bound", 1, 13),
+    ("line", 'div: N / 0 <= count(A="x")', SemanticError, "line 1, col 8: division by zero", 1, 8),
+    ("line", 'div: N / (0) <= count(A="x")', SemanticError, "line 1, col 8: division by zero", 1, 8),
+    ("line", 'div: N / 0.0 <= count(A="x")', SemanticError, "line 1, col 8: division by zero", 1, 8),
+    ("line", 'div: 3 <= count(A="x", A="y")', SemanticError, "line 1, col 24: attribute 'A' repeated in target", 1, 24),
+    ("line", 'div: 3 <= count(A="x", B="y", A="x")', SemanticError, "line 1, col 31: attribute 'A' repeated in target", 1, 31),
+    ("line", 'div: C <= count(A="x")', SemanticError, "line 1, col 6: C reads the input relation; only fairness constraints may", 1, 6),
+    ("line", 'div: ceil_k(N * R0) <= count(A="x")', SemanticError, "line 1, col 17: R0 reads the input relation; only fairness constraints may", 1, 17),
+    ("line", 'div: count(A="x")', SemanticError, "line 1, col 1: constraint needs at least one bound", 1, 1),
+    ("line", 'bound: 3 <= count(A="x")', ParseError, "line 1, col 1: expected 'div' or 'fair', got 'bound'", 1, 1),
+    ("line", '3 <= count(A="x")', ParseError, "line 1, col 1: expected 'div' or 'fair', got '3'", 1, 1),
+    ("line", 'div 3 <= count(A="x")', ParseError, "line 1, col 5: expected ':', got '3'", 1, 5),
+    ("line", 'div: 3x <= count(A="x")', ParseError, "line 1, col 7: expected '<=', got 'x'", 1, 7),
+    ("line", 'div: 3 <= count("x")', ParseError, "line 1, col 17: expected attribute name, got '\"x\"'", 1, 17),
+    ("line", 'div: 3 <= count(A=x)', ParseError, "line 1, col 19: expected quoted value, got 'x'", 1, 19),
+    ("line", 'div: 3 <= count(A="x" B="y")', ParseError, "line 1, col 23: expected ')', got 'B'", 1, 23),
+    ("line", 'div: S(GEN) <= count(A="x")', ParseError, "line 1, col 8: expected quoted attribute, got 'GEN'", 1, 8),
+    ("line", 'div: 3 <= count(A="x") <= ,', ParseError, "line 1, col 27: expected a value, got ','", 1, 27),
+    ("line", "   # only a comment", ParseError, "line 1, col 1: expected a constraint", 1, 1),
+    ("line", "", ParseError, "line 1, col 1: expected a constraint", 1, 1),
+    ("file", 'div: 3 <= count(A="x") <= 6\n\n  # c\n\tdiv: 3 <= count(A="x") <= $', ParseError, "line 4, col 28: unexpected character '$'", 4, 28),
+    ("file", 'div: 3 <= count(A="x")\u00a0<= 6\ndiv: 3 <= count(A="x") ~', ParseError, "line 2, col 24: unexpected character '~'", 2, 24),
+    ("file", 'div: 3 <= count(ETH="Asian") <= 6\ndiv: 3 <= count(ETH=Asian)', ParseError, "line 2, col 21: expected quoted value, got 'Asian'", 2, 21),
+    ("file", '# head\n   \nfair: C <= count(A="x")\ndiv: R0 <= count(A="x")', SemanticError, "line 4, col 6: R0 reads the input relation; only fairness constraints may", 4, 6),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("how, text, error, message, line, column", PINNED_ERRORS)
+def test_pinned_error(how, text, error, message, line, column):
+    parse = parse_constraint_line if how == "line" else parse_constraints
+    with pytest.raises((ParseError, SemanticError)) as exc:
+        parse(text)
+    assert (type(exc.value), str(exc.value), exc.value.line, exc.value.column) == (
+        error,
+        message,
+        line,
+        column,
+    )
+
+
+def test_line_number_is_passed_through():
+    with pytest.raises(ParseError) as exc:
+        parse_constraint_line('div: 3 <= count(A="x") <= $', line_no=7)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        "line 7, col 27: unexpected character '$'",
+        7,
+        27,
+    )
+
+
+class TestLayoutParsesAsBefore:
+    def test_blank_and_whitespace_only_lines_are_skipped(self):
+        text = ' \t \n\ndiv: 3 <= count(A="x")\n\u00a0\n   \r\ndiv: 6 <= count(B="y")\n\t'
+        assert [format_constraint(c) for c in parse_constraints(text)] == [
+            'div: 3 <= count(A="x")',
+            'div: 6 <= count(B="y")',
+        ]
+
+    def test_trailing_comments(self):
+        plain = parse_constraints('div: 3 <= count(A="x") <= 6\nfair: C <= count(B="y")')
+        commented = parse_constraints(
+            'div: 3 <= count(A="x") <= 6# tight\n'
+            'fair: C <= count(B="y")   # "quoted" (parens) <= 7 $\n'
+            "# whole-line comment"
+        )
+        assert commented == plain
+
+    def test_hash_inside_a_value_is_not_a_comment(self):
+        c = parse_constraint_line('div: 3 <= count(A="x # y") # z')
+        assert c.target == TargetValue.of(A="x # y")
+
+    def test_escapes_in_values(self):
+        c = parse_constraint_line('div: 1 <= count(A="a\\"b", B="c\\\\", C="d\\\\\\"e")')
+        assert dict(c.target.sorted_entries()) == {"A": 'a"b', "B": "c\\", "C": 'd\\"e'}
+
+    def test_literals_keep_their_exact_values(self):
+        c = parse_constraint_line('div: 007 <= count(A="x") <= 12.50')
+        assert c.lower == Literal(Fraction(7)) and c.upper == Literal(Fraction(25, 2))
+        assert isinstance(c.lower.value, Fraction) and isinstance(c.upper.value, Fraction)
+
+
 class TestLints:
     def test_bound_off_the_k_grid_warns(self):
         with pytest.warns(LintWarning, match="multiple of k"):
@@ -148,6 +248,19 @@ class TestLints:
         messages = [str(w.message) for w in record]
         assert any("below k" in m for m in messages)
         assert any("multiple of k" in m for m in messages)
+
+    def test_fractional_bounds_are_linted_exactly(self):
+        # 4.5 = 9/2: its numerator is a multiple of 3, the value is not.
+        with pytest.warns(LintWarning, match="upper bound 4.5 is not a multiple of k=3"):
+            parse_constraints('div: count(A="x") <= 4.5', k=3)
+        # 2.5 is below 3 although its numerator 5 is not.
+        with pytest.warns(LintWarning) as record:
+            parse_constraints('div: 2.5 <= count(A="x")', k=3)
+        messages = [str(w.message) for w in record]
+        assert "line 1: lower bound 2.5 is not a multiple of k=3" in messages
+        assert "line 1: lower bound 2.5 is below k=3; revealed counts are 0 or at least k" in messages
+        with pytest.warns(LintWarning, match="lower bound 0.5 is below k=1"):
+            parse_constraints('div: 0.5 <= count(A="x")')
 
     def test_multiples_are_quiet(self, recwarn):
         parse_constraints('div: 3 <= count(A="x") <= 6', k=3)

@@ -2,8 +2,10 @@
 
 import random
 import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anonkit import (
     Axiom,
@@ -25,7 +27,16 @@ from anonkit import (
     to_fixed_all,
 )
 
-from oracles import random_sigma, random_target, satisfies
+from oracles import (
+    ATTRS,
+    VALUES,
+    random_sigma,
+    random_target,
+    satisfies,
+    scan_is_satisfiable,
+    scan_minimal_cover,
+    scan_range_for_target,
+)
 
 
 def fc(lo, hi, **pairs):
@@ -236,3 +247,92 @@ class TestToFixed:
     def test_display_form(self):
         assert str(fc(3, 6, A="a")) == '(A="a") in [3,6]'
         assert str(fc(0, None, A="a")) == '(A="a") in [0,+inf]'
+
+
+# Differential tests: the target-indexed logic layer against the all-pairs
+# scan in oracles.py, on sets of up to 60 constraints over 3 attributes x
+# 3 values: only 63 targets exist, so sets repeat targets and nest them.
+
+_targets = st.dictionaries(
+    st.sampled_from(ATTRS), st.sampled_from(VALUES), min_size=1, max_size=3
+).map(lambda pairs: TargetValue(pairs.items()))
+
+
+# Sizes drawn first: st.lists alone rarely grows past a dozen members.
+_target_lists = st.integers(1, 60).flatmap(
+    lambda n: st.lists(_targets, min_size=n, max_size=n)
+)
+
+
+@st.composite
+def _free_sets(draw):
+    """Arbitrary ranges, empty ones included: mostly unsatisfiable."""
+
+    def one(tv):
+        lo = draw(st.integers(0, 12))
+        hi = draw(st.none() | st.integers(max(0, lo - 2), lo + 12))
+        return FixedConstraint(tv, FrequencyRange(lo, hi))
+
+    return [one(tv) for tv in draw(_target_lists)]
+
+
+@st.composite
+def _hidden_sets(draw):
+    """Ranges around the counts of a hidden relation: always satisfiable."""
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(VALUES)] * len(ATTRS)), max_size=30))
+    sigma = []
+    for tv in draw(_target_lists):
+        count = sum(all(row[ATTRS.index(a)] == v for a, v in tv.entries) for row in rows)
+        lo = max(0, count - draw(st.integers(0, 4)))
+        hi = draw(st.none() | st.integers(count, count + 4))
+        sigma.append(FixedConstraint(tv, FrequencyRange(lo, hi)))
+    return sigma
+
+
+_sets = st.one_of(_free_sets(), _hidden_sets())
+
+
+def _same_trace(got, want):
+    assert got == want
+    # Each step names the very member of the set it came from.
+    assert [step.source for step in got[1]] == [step.source for step in want[1]]
+    assert all(a.source is b.source for a, b in zip(got[1], want[1]))
+
+
+class TestAgainstScan:
+    @settings(max_examples=80, deadline=None)
+    @given(_sets, st.lists(_targets, max_size=5))
+    def test_matches_the_scan(self, sigma, queries):
+        for tv in [c.target for c in sigma] + queries:
+            _same_trace(range_for_target(sigma, tv), scan_range_for_target(sigma, tv))
+
+        verdict = is_satisfiable(sigma)
+        assert type(verdict) is type(scan_is_satisfiable(sigma))
+        assert verdict == scan_is_satisfiable(sigma)
+
+        if not verdict:
+            with pytest.raises(InferenceError):
+                minimal_cover(sigma)
+            return
+        got, want = minimal_cover(sigma), scan_minimal_cover(sigma)
+        assert got == want
+        assert all(a is b for a, b in zip(got, want))
+
+    def test_seeded_sets(self):
+        # 200 seeded sets with narrow ranges; the sample must hold both
+        # verdicts and covers that drop members, or it checks too little.
+        rng = random.Random(7)
+        verdicts, shrunk = Counter(), 0
+        for _ in range(200):
+            sigma = [
+                FixedConstraint(random_target(rng), FrequencyRange(lo, lo + rng.randint(0, 6)))
+                for lo in (rng.randint(0, 6) for _ in range(rng.randint(1, 60)))
+            ]
+            got = is_satisfiable(sigma)
+            assert got == scan_is_satisfiable(sigma)
+            verdicts[type(got)] += 1
+            if got:
+                cover = minimal_cover(sigma)
+                assert cover == scan_minimal_cover(sigma)
+                shrunk += len(cover) < len(sigma)
+        assert verdicts[Satisfiable] and verdicts[Unsatisfiable] and shrunk

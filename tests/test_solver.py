@@ -28,7 +28,7 @@ from anonkit import (
     solve_exact,
     solve_greedy,
 )
-from anonkit.solver import _partitions
+from anonkit.solver import _partitions, _suffix_counts
 
 ASIAN_RANGE = parse_constraint_line('div: 3 <= count(ETH="Asian") <= 6', k=3)
 HIDE_ASIAN = parse_constraint_line('div: count(ETH="Asian") <= 0', k=3)
@@ -275,6 +275,14 @@ class TestSolveExact:
     def test_budgeted_run_still_reports_wall_time(self, r_initial):
         out = solve_exact(fixture_problem(r_initial, limits=Limits(max_nodes=1)))
         assert out.stats.wall_time >= 0.0
+
+    def test_suffix_counts(self):
+        import random
+
+        rng = random.Random(3)
+        for n in (0, 1, 2, 7, 50):
+            flags = [rng.random() < 0.4 for _ in range(n)]
+            assert _suffix_counts(flags) == [sum(flags[i:]) for i in range(n + 1)]
 
 
 class TestSolveGreedy:
