@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -115,9 +116,11 @@ def _range_str(lo: int, hi: Optional[int]) -> str:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise IngestError(f"{path}: not valid UTF-8 (byte offset {e.start}: {e.reason})") from None
+    # Drop a byte order mark here: utf-8-sig would count offsets from after it.
+    return text.removeprefix("\ufeff")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -362,14 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except AnonError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (AnonError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -103,7 +103,7 @@ class Literal:
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
-        if self.value < 0:
+        if self.value.numerator < 0:
             raise ContractError("bound literals are non-negative")
 
 
@@ -184,7 +184,7 @@ class Constraint:
         if self.lower is None and self.upper is None:
             raise ContractError("constraint needs at least one bound")
         for bound in (self.lower, self.upper):
-            if bound is None:
+            if bound is None or isinstance(bound, Literal):
                 continue
             for node in walk_nodes(bound):
                 if isinstance(node, Round) and node is not bound:
@@ -202,10 +202,8 @@ class Constraint:
     @property
     def is_fixed_bound(self) -> bool:
         """True when every present bound is a plain number."""
-        return all(
-            bound is None or isinstance(bound, Literal)
-            for bound in (self.lower, self.upper)
-        )
+        fixed = (Literal, type(None))
+        return isinstance(self.lower, fixed) and isinstance(self.upper, fixed)
 
     def fixed_bounds(self) -> tuple[int, Optional[int]]:
         """The (lower, upper) pair of a fixed-bound constraint as integers.
@@ -216,8 +214,11 @@ class Constraint:
         """
         if not self.is_fixed_bound:
             raise ContractError("constraint has variable bounds")
-        lo = 0 if self.lower is None else math.ceil(self.lower.value)
-        hi = None if self.upper is None else math.floor(self.upper.value)
+        lo, hi = 0, None
+        if self.lower is not None:
+            lo = -(-self.lower.value.numerator // self.lower.value.denominator)
+        if self.upper is not None:
+            hi = self.upper.value.numerator // self.upper.value.denominator
         return lo, hi
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import warnings
 from fractions import Fraction
+from typing import Optional
 
 from .constraints import (
     BinOp,
@@ -30,53 +31,38 @@ from .constraints import (
     Var,
     VarKind,
 )
-from .errors import LintWarning, ParseError, SemanticError
+from .errors import AnonError, LintWarning, ParseError, SemanticError
 from .relation import TargetValue
 
 
-# Each match is leading whitespace plus one token, a comment, or the end of
-# the line. Only tokens are named groups, so the other two have no
-# lastgroup. The catch-all `bad` makes every non-space character start some
-# token, so finditer walks the line without gaps or backtracking.
+# Each match is leading whitespace plus a comment, the end of the line or
+# one token (a number, name, quoted value, <=, punctuation or the catch-all
+# \S, so the scan has no gaps). Only the token is captured: findall returns
+# the token texts, with "" for a comment or the end.
 _TOKEN_RE = re.compile(
     r"""
     \s*
     (?:
         \#.*
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<punct><=|[():,=+\-*/])
-      | (?P<bad>\S)
+      | (\d+(?:\.\d+)?|[A-Za-z_][A-Za-z_0-9]*|"(?:[^"\\]|\\.)*"|<=|[():,=+\-*/]|\S)
       | \Z
     )
     """,
     re.VERBOSE,
 )
 
-_END = "end"
+# The one-character tokens the grammar knows, but for non-ASCII digits,
+# which \d also takes. Any other one-character token came from \S, and
+# a line holding one never parses.
+_ONE_CHAR_TOKENS = frozenset("_():,=+-*/0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-# (kind, text, column); plain tuples are the cheapest to build.
-_Token = tuple[str, str, int]
 
-
-def _tokenize(text: str, line_no: int) -> list[_Token]:
-    """The line's tokens, closed by an end marker just past the last one."""
-    tokens = []
-    end = 1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        column = m.start(kind) + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", line_no, column)
-        end = m.end() + 1
-        tokens.append((kind, m[kind], column))
-    tokens.append((_END, "", end))
-    return tokens
+def _columns(line: str) -> list[int]:
+    """Each token's 1-based column, then the column just past the last token."""
+    spans = [m.span(1) for m in _TOKEN_RE.finditer(line) if m[1]]
+    return [start + 1 for start, _ in spans] + [spans[-1][1] + 1 if spans else 1]
 
 
 def _unquote(raw: str) -> str:
@@ -89,91 +75,88 @@ def _quote(value: str) -> str:
 
 
 class _LineParser:
-    """Recursive descent over one constraint line.
+    """Recursive descent over one constraint line's token texts.
 
-    The token list ends in an end marker that no step consumes, so the
-    current token always exists.
+    A token's kind shows in its text: a quoted value starts with '"', a
+    number with a digit, a name with a letter or '_'. No step consumes
+    the end marker "", so a current token always exists. Columns are
+    worked out only for an error.
     """
 
-    def __init__(self, tokens: list[_Token], line_no: int):
+    def __init__(self, tokens: list[str], line: str, line_no: int):
         self.tokens = tokens
+        self.line = line
         self.line_no = line_no
         self.pos = 0
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
-        if tok[0] == _END:
-            raise ParseError("unexpected end of line", self.line_no, tok[2])
+        if not tok:
+            raise self.error("unexpected end of line", self.pos)
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token, cls: type = ParseError) -> Exception:
-        return cls(message, self.line_no, tok[2])
+    def error(self, message: str, index: int, cls: type = ParseError) -> Exception:
+        """An error at the index-th token."""
+        return cls(message, self.line_no, _columns(self.line)[index])
 
     def expect(self, text: str) -> None:
         tok = self.next()
-        if tok[1] != text:
-            raise self.error(f"expected {text!r}, got {tok[1]!r}", tok)
-
-    def at(self, text: str) -> bool:
-        return self.tokens[self.pos][1] == text
+        if tok != text:
+            raise self.error(f"expected {text!r}, got {tok!r}", self.pos - 1)
 
     def parse_constraint(self) -> Constraint:
         head = self.next()
-        kind_name, text, _ = head
-        if kind_name != "ident" or text not in ("div", "fair"):
-            raise self.error(f"expected 'div' or 'fair', got {text!r}", head)
-        kind = ConstraintKind.DIVERSITY if text == "div" else ConstraintKind.FAIRNESS
-        self.kind = kind
+        if head not in ("div", "fair"):
+            raise self.error(f"expected 'div' or 'fair', got {head!r}", 0)
+        self.kind = kind = ConstraintKind.DIVERSITY if head == "div" else ConstraintKind.FAIRNESS
         self.expect(":")
 
         lower = None
-        if self.tokens[self.pos][:2] != ("ident", "count"):
+        if self.tokens[self.pos] != "count":
             lower = self.parse_bound()
             self.expect("<=")
 
         tok = self.next()
-        if tok[:2] != ("ident", "count"):
-            raise self.error(f"expected 'count', got {tok[1]!r}", tok)
+        if tok != "count":
+            raise self.error(f"expected 'count', got {tok!r}", self.pos - 1)
         self.expect("(")
         target = self.parse_target()
         self.expect(")")
 
         upper = None
-        if self.at("<="):
+        if self.tokens[self.pos] == "<=":
             self.pos += 1
             upper = self.parse_bound()
 
         trailing = self.tokens[self.pos]
-        if trailing[0] != _END:
-            raise self.error(f"trailing input: {trailing[1]!r}", trailing)
+        if trailing:
+            raise self.error(f"trailing input: {trailing!r}", self.pos)
         if lower is None and upper is None:
-            raise self.error("constraint needs at least one bound", head, SemanticError)
+            raise self.error("constraint needs at least one bound", 0, SemanticError)
         return Constraint(kind, target, lower, upper)
 
     def parse_target(self) -> TargetValue:
-        pairs: list[tuple[str, str]] = []
-        seen: set[str] = set()
+        pairs: dict[str, str] = {}
         while True:
-            attr = self.next()
-            if attr[0] != "ident":
-                raise self.error(f"expected attribute name, got {attr[1]!r}", attr)
+            name = self.next()
+            at = self.pos - 1
+            if not (name.isidentifier() and name.isascii()):
+                raise self.error(f"expected attribute name, got {name!r}", at)
             self.expect("=")
             value = self.next()
-            if value[0] != "string":
-                raise self.error(f"expected quoted value, got {value[1]!r}", value)
-            name = attr[1]
-            if name in seen:
-                raise self.error(f"attribute {name!r} repeated in target", attr, SemanticError)
-            seen.add(name)
-            pairs.append((name, _unquote(value[1])))
-            if not self.at(","):
-                return TargetValue(pairs)
+            if len(value) < 2 or value[0] != '"':
+                raise self.error(f"expected quoted value, got {value!r}", self.pos - 1)
+            if name in pairs:
+                raise self.error(f"attribute {name!r} repeated in target", at, SemanticError)
+            pairs[name] = _unquote(value)
+            if self.tokens[self.pos] != ",":
+                return TargetValue(pairs.items())
             self.pos += 1
 
     def parse_bound(self) -> BoundExpr:
-        kind, text, _ = self.tokens[self.pos]
-        if kind == "ident" and text in ("ceil_k", "floor_k"):
+        text = self.tokens[self.pos]
+        if text in ("ceil_k", "floor_k"):
             self.pos += 1
             self.expect("(")
             inner = self.parse_arith()
@@ -186,51 +169,42 @@ class _LineParser:
         node = self.parse_factor()
         while True:
             op = self.tokens[self.pos]
-            prec = _PRECEDENCE.get(op[1], 0)
+            prec = _PRECEDENCE.get(op, 0)
             if prec < min_prec:
                 return node
+            at = self.pos
             self.pos += 1
             right = self.parse_arith(prec + 1)
-            if op[1] == "/" and isinstance(right, Literal) and right.value == 0:
-                raise self.error("division by zero", op, SemanticError)
-            node = BinOp(op[1], node, right)
+            if op == "/" and isinstance(right, Literal) and right.value == 0:
+                raise self.error("division by zero", at, SemanticError)
+            node = BinOp(op, node, right)
 
     def parse_factor(self) -> BoundExpr:
-        tok = self.next()
-        kind, text, _ = tok
-        if kind == "number":
+        text = self.next()
+        at = self.pos - 1
+        if text[0].isdecimal():
             return Literal(Fraction(text) if "." in text else int(text))
         if text == "(":
             node = self.parse_arith()
             self.expect(")")
             return node
-        if kind == "ident":
-            if text == "N":
-                return Var(VarKind.OUTPUT_SIZE)
-            if text == "R0":
-                self._check_initial_stat(tok)
-                return Var(VarKind.INITIAL_SIZE)
-            if text == "C":
-                self._check_initial_stat(tok)
-                return Var(VarKind.INITIAL_TARGET_COUNT)
-            if text == "S":
-                self.expect("(")
-                arg = self.next()
-                if arg[0] != "string":
-                    raise self.error(f"expected quoted attribute, got {arg[1]!r}", arg)
-                self.expect(")")
-                return StarCount(_unquote(arg[1]))
-            if text in ("ceil_k", "floor_k"):
-                raise self.error(f"{text} only applies to a whole bound", tok)
-        raise self.error(f"expected a value, got {text!r}", tok)
-
-    def _check_initial_stat(self, tok: _Token) -> None:
-        if self.kind is ConstraintKind.DIVERSITY:
-            raise self.error(
-                f"{tok[1]} reads the input relation; only fairness constraints may",
-                tok,
-                SemanticError,
-            )
+        if text == "N":
+            return Var(VarKind.OUTPUT_SIZE)
+        if text in ("R0", "C"):
+            if self.kind is ConstraintKind.DIVERSITY:
+                message = f"{text} reads the input relation; only fairness constraints may"
+                raise self.error(message, at, SemanticError)
+            return Var(VarKind.INITIAL_SIZE if text == "R0" else VarKind.INITIAL_TARGET_COUNT)
+        if text == "S":
+            self.expect("(")
+            arg = self.next()
+            if arg[0] != '"':
+                raise self.error(f"expected quoted attribute, got {arg!r}", self.pos - 1)
+            self.expect(")")
+            return StarCount(_unquote(arg))
+        if text in ("ceil_k", "floor_k"):
+            raise self.error(f"{text} only applies to a whole bound", at)
+        raise self.error(f"expected a value, got {text!r}", at)
 
 
 def _lint(constraint: Constraint, k: int, line_no: int) -> None:
@@ -238,29 +212,46 @@ def _lint(constraint: Constraint, k: int, line_no: int) -> None:
         if not isinstance(bound, Literal):
             continue
         value = bound.value
-        if k > 1 and (value.denominator != 1 or value % k != 0):
+        num, den = value.numerator, value.denominator
+        if k > 1 and (den != 1 or num % k != 0):
             warnings.warn(
                 f"line {line_no}: {position} bound {_format_literal(value)} "
                 f"is not a multiple of k={k}",
                 LintWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-        if position == "lower" and 0 < value < k:
+        if position == "lower" and 0 < num < k * den:
             warnings.warn(
                 f"line {line_no}: lower bound {_format_literal(value)} is below k={k}; "
                 "revealed counts are 0 or at least k",
                 LintWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
+
+
+def _parse_line(line: str, k: int, line_no: int) -> Optional[Constraint]:
+    """The line's constraint, linted; None for a blank or comment-only line."""
+    tokens = list(filter(None, _TOKEN_RE.findall(line)))
+    if not tokens:
+        return None
+    tokens.append("")  # the end marker
+    try:
+        constraint = _LineParser(tokens, line, line_no).parse_constraint()
+    except (AnonError, RecursionError):
+        # A character that starts no token is reported first, wherever it is.
+        for text, column in zip(tokens, _columns(line)):
+            if len(text) == 1 and text not in _ONE_CHAR_TOKENS and not text.isdecimal():
+                raise ParseError(f"unexpected character {text!r}", line_no, column) from None
+        raise
+    _lint(constraint, k, line_no)
+    return constraint
 
 
 def parse_constraint_line(line: str, k: int = 1, line_no: int = 1) -> Constraint:
     """Parse a single constraint line. Blank or comment-only input is an error."""
-    tokens = _tokenize(line, line_no)
-    if tokens[0][0] == _END:
+    constraint = _parse_line(line, k, line_no)
+    if constraint is None:
         raise ParseError("expected a constraint", line_no, 1)
-    constraint = _LineParser(tokens, line_no).parse_constraint()
-    _lint(constraint, k, line_no)
     return constraint
 
 
@@ -268,12 +259,9 @@ def parse_constraints(text: str, k: int = 1) -> list[Constraint]:
     """Parse a constraint file: one constraint per line, `#` comments, blanks ok."""
     out: list[Constraint] = []
     for i, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line, i)
-        if tokens[0][0] == _END:
-            continue
-        constraint = _LineParser(tokens, i).parse_constraint()
-        _lint(constraint, k, i)
-        out.append(constraint)
+        constraint = _parse_line(line, k, i)
+        if constraint is not None:
+            out.append(constraint)
     return out
 
 

@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .constraints import Constraint, ConstraintKind, FrequencyRange, UNIVERSAL_RANGE
-from .errors import InferenceError, LintWarning
+from .constraints import Constraint, ConstraintKind, FrequencyRange
+from .errors import ContractError, InferenceError, LintWarning
 from .relation import TargetValue
 
 
@@ -45,12 +45,13 @@ def to_fixed(constraint: Constraint, k: Optional[int] = None) -> FixedConstraint
             f"({constraint.target}): fairness constraints are outside the "
             "inference fragment; only fixed-bound diversity constraints qualify"
         )
-    if not constraint.is_fixed_bound:
+    try:
+        lo, hi = constraint.fixed_bounds()
+    except ContractError:
         raise InferenceError(
             f"({constraint.target}): variable bounds are outside the "
             "inference fragment; only fixed-bound diversity constraints qualify"
-        )
-    lo, hi = constraint.fixed_bounds()
+        ) from None
     if k is not None and 0 < lo < k:
         warnings.warn(
             f"({constraint.target}): lower bound {lo} is below k={k}; "
@@ -110,33 +111,36 @@ class _TargetIndex:
 
 
 def range_for_target(
-    sigma: Sequence[FixedConstraint], tv: TargetValue
+    sigma: Sequence[FixedConstraint], tv: TargetValue, trace: bool = True
 ) -> tuple[FrequencyRange, tuple[TraceStep, ...]]:
     """The tightest range the constraint set forces on tv, with its derivation.
 
-    Steps follow the set's order; the last one is the intersection.
+    Steps follow the set's order; the last one is the intersection. With
+    trace false no step is built and the derivation comes back empty.
     """
     entries = tv.entries
-    delta = UNIVERSAL_RANGE
+    lo, hi = 0, None
     steps: list[TraceStep] = []
     for c in sigma:
         other = c.target.entries
-        if not (other <= entries or entries < other):
-            continue
         if other == entries:
-            contributed = c.bounds
-            axiom = Axiom.FIXED_ATTRIBUTES
+            axiom, c_lo, c_hi = Axiom.FIXED_ATTRIBUTES, c.bounds.lo, c.bounds.hi
         elif other < entries:
             # Rows matching tv also match the smaller target, so its
             # upper bound carries over; its lower bound does not.
-            contributed = FrequencyRange(0, c.bounds.hi)
-            axiom = Axiom.ATTRIBUTE_EXTENSION
+            axiom, c_lo, c_hi = Axiom.ATTRIBUTE_EXTENSION, 0, c.bounds.hi
+        elif entries < other:
+            axiom, c_lo, c_hi = Axiom.ATTRIBUTE_REDUCTION, c.bounds.lo, None
         else:
-            contributed = FrequencyRange(c.bounds.lo, None)
-            axiom = Axiom.ATTRIBUTE_REDUCTION
-        steps.append(TraceStep(axiom, contributed, c))
-        delta = delta.intersect(contributed)
-    steps.append(TraceStep(Axiom.RANGE_INTERSECTION, delta))
+            continue
+        lo = max(lo, c_lo)
+        if c_hi is not None and (hi is None or c_hi < hi):
+            hi = c_hi
+        if trace:
+            steps.append(TraceStep(axiom, FrequencyRange(c_lo, c_hi), c))
+    delta = FrequencyRange(lo, hi)
+    if trace:
+        steps.append(TraceStep(Axiom.RANGE_INTERSECTION, delta))
     return delta, tuple(steps)
 
 
@@ -201,7 +205,7 @@ def is_satisfiable(sigma: Sequence[FixedConstraint]) -> SatisfiabilityResult:
 def _check(sigma: Sequence[FixedConstraint], index: _TargetIndex) -> SatisfiabilityResult:
     witness: dict[TargetValue, int] = {}
     for tv in _sorted_targets(sigma):
-        delta, _ = range_for_target([sigma[i] for i in index.sharing(tv)], tv)
+        delta, _ = range_for_target([sigma[i] for i in index.sharing(tv)], tv, trace=False)
         if delta.is_empty:
             return Unsatisfiable(FixedConstraint(tv, delta))
         witness[tv] = delta.lo
@@ -220,6 +224,6 @@ def minimal_cover(sigma: Sequence[FixedConstraint]) -> list[FixedConstraint]:
     kept = [True] * len(sigma)
     for i, candidate in enumerate(sigma):
         rest = [sigma[j] for j in index.sharing(candidate.target) if kept[j] and j != i]
-        if range_for_target(rest, candidate.target)[0].issubset(candidate.bounds):
+        if range_for_target(rest, candidate.target, trace=False)[0].issubset(candidate.bounds):
             kept[i] = False
     return [c for i, c in enumerate(sigma) if kept[i]]

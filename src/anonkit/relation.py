@@ -62,7 +62,7 @@ class Relation:
         dupes = [a for a, n in Counter(schema).items() if n > 1]
         if dupes:
             raise SchemaError(f"duplicate attribute name(s): {', '.join(sorted(dupes))}")
-        frozen_rows = tuple(tuple(r) for r in rows)
+        frozen_rows = tuple(map(tuple, rows))
         for i, row in enumerate(frozen_rows):
             if len(row) != len(schema):
                 raise ContractError(
@@ -144,24 +144,26 @@ def load_relation(csv_text: str | bytes, star_token: str = "*") -> Relation:
     if isinstance(csv_text, bytes):
         csv_text = csv_text.decode("utf-8")
     reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty input: missing header row") from None
-    if not header or all(not h for h in header):
-        raise IngestError("empty input: missing header row")
-    dupes = [a for a, n in Counter(header).items() if n > 1]
-    if dupes:
-        raise IngestError(f"duplicate header name(s): {', '.join(sorted(dupes))}")
-    if any(not h for h in header):
-        raise IngestError("blank attribute name in header")
-
-    width = len(header)
     rows: list[tuple[Cell, ...]] = []
-    for i, raw in enumerate(reader):
-        if len(raw) != width:
-            raise IngestError(f"row {i}: expected {width} cells, got {len(raw)}")
-        rows.append(tuple(STAR if cell == star_token else cell for cell in raw))
+    try:
+        header = next(reader, None)
+        if not header or all(not h for h in header):
+            raise IngestError("empty input: missing header row")
+        dupes = [a for a, n in Counter(header).items() if n > 1]
+        if dupes:
+            raise IngestError(f"duplicate header name(s): {', '.join(sorted(dupes))}")
+        if any(not h for h in header):
+            raise IngestError("blank attribute name in header")
+
+        width = len(header)
+        for i, raw in enumerate(reader):
+            if len(raw) != width:
+                raise IngestError(f"row {i}: expected {width} cells, got {len(raw)}")
+            if star_token in raw:
+                raw = [STAR if cell == star_token else cell for cell in raw]
+            rows.append(tuple(raw))
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise IngestError(f"CSV line {reader.line_num}: {e}") from None
     return Relation(header, rows)
 
 

@@ -108,8 +108,10 @@ class Problem:
             raise ContractError(f"k must be >= 1, got {k}")
         if not qi:
             raise ContractError("quasi-identifier set must be non-empty")
-        for a in qi:
+        for i, a in enumerate(qi):
             relation.column_index(a)  # raises SchemaError when unknown
+            if a in qi[:i]:  # its stars would count twice
+                raise ContractError(f"quasi-identifier {a!r} is listed twice")
         if any(cell is STAR for row in relation.rows for cell in row):
             raise ContractError("input relation already contains suppressed cells")
         known = set(relation.schema)

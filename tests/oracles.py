@@ -3,25 +3,40 @@
 Everything here recomputes results from first principles with code
 paths disjoint from the production modules: a row counter, a
 satisfaction check on fixed constraints, an axiom-closure range
-derivation, and random instance generators. Slow and simple on purpose.
+derivation, a reference constraint-line parser, and random instance
+generators. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from anonkit import (
     Axiom,
+    BinOp,
+    Constraint,
+    ConstraintKind,
     FixedConstraint,
     FrequencyRange,
     InferenceError,
+    Literal,
+    ParseError,
     Relation,
+    Round,
+    RoundMode,
     Satisfiable,
+    SemanticError,
+    StarCount,
     TargetValue,
     UNIVERSAL_RANGE,
     Unsatisfiable,
+    Var,
+    VarKind,
 )
+from anonkit.constraints import BoundExpr
 from anonkit.inference import TraceStep
 
 ATTRS = ("A", "B", "C")
@@ -180,3 +195,199 @@ def random_relation(
         for _ in range(rng.randint(min_rows, max_rows))
     ]
     return Relation(schema, rows)
+
+
+# --- reference parser --------------------------------------------------------
+# The constraint-line tokenizer and parser as they stood before tokens
+# became plain strings: one named group per token kind, and (kind, text,
+# column) tuples built for every token. Lint is left out; it only warns.
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    \s*
+    (?:
+        \#.*
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<punct><=|[():,=+\-*/])
+      | (?P<bad>\S)
+      | \Z
+    )
+    """,
+    re.VERBOSE,
+)
+
+_REF_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _ref_tokenize(text: str, line_no: int) -> list[tuple[str, str, int]]:
+    tokens = []
+    end = 1
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        column = m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line_no, column)
+        end = m.end() + 1
+        tokens.append((kind, m[kind], column))
+    tokens.append(("end", "", end))
+    return tokens
+
+
+def _ref_unquote(raw: str) -> str:
+    return raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+
+
+class _RefLineParser:
+    def __init__(self, tokens, line_no: int):
+        self.tokens = tokens
+        self.line_no = line_no
+        self.pos = 0
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of line", self.line_no, tok[2])
+        self.pos += 1
+        return tok
+
+    def error(self, message: str, tok, cls: type = ParseError) -> Exception:
+        return cls(message, self.line_no, tok[2])
+
+    def expect(self, text: str) -> None:
+        tok = self.next()
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, got {tok[1]!r}", tok)
+
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][1] == text
+
+    def parse_constraint(self) -> Constraint:
+        head = self.next()
+        kind_name, text, _ = head
+        if kind_name != "ident" or text not in ("div", "fair"):
+            raise self.error(f"expected 'div' or 'fair', got {text!r}", head)
+        kind = ConstraintKind.DIVERSITY if text == "div" else ConstraintKind.FAIRNESS
+        self.kind = kind
+        self.expect(":")
+        lower = None
+        if self.tokens[self.pos][:2] != ("ident", "count"):
+            lower = self.parse_bound()
+            self.expect("<=")
+        tok = self.next()
+        if tok[:2] != ("ident", "count"):
+            raise self.error(f"expected 'count', got {tok[1]!r}", tok)
+        self.expect("(")
+        target = self.parse_target()
+        self.expect(")")
+        upper = None
+        if self.at("<="):
+            self.pos += 1
+            upper = self.parse_bound()
+        trailing = self.tokens[self.pos]
+        if trailing[0] != "end":
+            raise self.error(f"trailing input: {trailing[1]!r}", trailing)
+        if lower is None and upper is None:
+            raise self.error("constraint needs at least one bound", head, SemanticError)
+        return Constraint(kind, target, lower, upper)
+
+    def parse_target(self) -> TargetValue:
+        pairs: list[tuple[str, str]] = []
+        seen: set[str] = set()
+        while True:
+            attr = self.next()
+            if attr[0] != "ident":
+                raise self.error(f"expected attribute name, got {attr[1]!r}", attr)
+            self.expect("=")
+            value = self.next()
+            if value[0] != "string":
+                raise self.error(f"expected quoted value, got {value[1]!r}", value)
+            name = attr[1]
+            if name in seen:
+                raise self.error(f"attribute {name!r} repeated in target", attr, SemanticError)
+            seen.add(name)
+            pairs.append((name, _ref_unquote(value[1])))
+            if not self.at(","):
+                return TargetValue(pairs)
+            self.pos += 1
+
+    def parse_bound(self) -> BoundExpr:
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "ident" and text in ("ceil_k", "floor_k"):
+            self.pos += 1
+            self.expect("(")
+            inner = self.parse_arith()
+            self.expect(")")
+            return Round(RoundMode.UP if text == "ceil_k" else RoundMode.DOWN, inner)
+        return self.parse_arith()
+
+    def parse_arith(self, min_prec: int = 1) -> BoundExpr:
+        node = self.parse_factor()
+        while True:
+            op = self.tokens[self.pos]
+            prec = _REF_PRECEDENCE.get(op[1], 0)
+            if prec < min_prec:
+                return node
+            self.pos += 1
+            right = self.parse_arith(prec + 1)
+            if op[1] == "/" and isinstance(right, Literal) and right.value == 0:
+                raise self.error("division by zero", op, SemanticError)
+            node = BinOp(op[1], node, right)
+
+    def parse_factor(self) -> BoundExpr:
+        tok = self.next()
+        kind, text, _ = tok
+        if kind == "number":
+            return Literal(Fraction(text) if "." in text else int(text))
+        if text == "(":
+            node = self.parse_arith()
+            self.expect(")")
+            return node
+        if kind == "ident":
+            if text == "N":
+                return Var(VarKind.OUTPUT_SIZE)
+            if text == "R0":
+                self._check_initial_stat(tok)
+                return Var(VarKind.INITIAL_SIZE)
+            if text == "C":
+                self._check_initial_stat(tok)
+                return Var(VarKind.INITIAL_TARGET_COUNT)
+            if text == "S":
+                self.expect("(")
+                arg = self.next()
+                if arg[0] != "string":
+                    raise self.error(f"expected quoted attribute, got {arg[1]!r}", arg)
+                self.expect(")")
+                return StarCount(_ref_unquote(arg[1]))
+            if text in ("ceil_k", "floor_k"):
+                raise self.error(f"{text} only applies to a whole bound", tok)
+        raise self.error(f"expected a value, got {text!r}", tok)
+
+    def _check_initial_stat(self, tok) -> None:
+        if self.kind is ConstraintKind.DIVERSITY:
+            raise self.error(
+                f"{tok[1]} reads the input relation; only fairness constraints may",
+                tok,
+                SemanticError,
+            )
+
+
+def reference_parse_line(line: str, line_no: int = 1) -> Constraint:
+    """parse_constraint_line without lint, by the reference parser."""
+    tokens = _ref_tokenize(line, line_no)
+    if tokens[0][0] == "end":
+        raise ParseError("expected a constraint", line_no, 1)
+    return _RefLineParser(tokens, line_no).parse_constraint()
+
+
+def reference_parse_file(text: str) -> list[Constraint]:
+    """parse_constraints without lint, by the reference parser."""
+    out = []
+    for i, line in enumerate(text.splitlines(), start=1):
+        tokens = _ref_tokenize(line, i)
+        if tokens[0][0] != "end":
+            out.append(_RefLineParser(tokens, i).parse_constraint())
+    return out

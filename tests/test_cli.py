@@ -573,6 +573,93 @@ class TestNonUtf8Input:
         assert not files["out"].exists() and not files["report"].exists()
 
 
+class TestContract:
+    """Bad input exits 2, a negative verdict 1; each says so in one stderr line."""
+
+    def anonymize(self, capsys, files, *, k="3", qi="GEN,ETH", out=None, report=None):
+        return run(
+            capsys,
+            "anonymize",
+            "--input", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", k,
+            "--qi", qi,
+            "--mode", "exact",
+            "--out", str(out or files["out"]),
+            "--report", str(report or files["report"]),
+        )
+
+    def check(self, result, code, first_words):
+        got_code, out, err = result
+        assert got_code == code
+        assert err.count("\n") == 1 and err.startswith(first_words), err
+        assert "Traceback" not in out + err
+
+    @pytest.fixture
+    def plain(self, files):
+        files["sigma"].write_text("")
+        return files
+
+    def test_row_with_too_many_cells(self, capsys, plain):
+        plain["initial"].write_text(INITIAL_CSV + "Male,White,extra\n")
+        self.check(self.anonymize(capsys, plain), 2, "error: row 9: expected 2 cells, got 3")
+
+    def test_cell_over_the_csv_field_limit(self, capsys, plain):
+        plain["initial"].write_text(INITIAL_CSV + "x" * 200_000 + ",White\n")
+        self.check(
+            self.anonymize(capsys, plain),
+            2,
+            "error: CSV line 11: field larger than field limit (131072)",
+        )
+
+    def test_byte_order_marks_are_skipped(self, capsys, plain):
+        bom = "\ufeff".encode()
+        plain["initial"].write_bytes(bom + INITIAL_CSV.encode())
+        plain["sigma"].write_bytes(bom + (ASIAN_RANGE_LINE + "\n").encode())
+        code, _, err = self.anonymize(capsys, plain, qi="GEN")
+        assert (code, err) == (0, "")
+        assert plain["out"].read_text().startswith("GEN,ETH\n")
+
+    def test_k_above_the_row_count(self, capsys, plain):
+        self.check(self.anonymize(capsys, plain, k="10"), 1, "infeasible: ")
+
+    @pytest.mark.parametrize("which", ["out", "report"])
+    def test_unwritable_output(self, capsys, plain, tmp_path, which):
+        missing = tmp_path / "missing" / "file"
+        result = self.anonymize(capsys, plain, **{which: missing})
+        self.check(result, 2, f"error: [Errno 2] No such file or directory: '{missing}'")
+
+    def test_repeated_qi_attribute(self, capsys, plain):
+        self.check(
+            self.anonymize(capsys, plain, qi="GEN,GEN"),
+            2,
+            "error: quasi-identifier 'GEN' is listed twice",
+        )
+        assert not plain["out"].exists() and not plain["report"].exists()
+
+
+class TestLintWarnings:
+    """Each lint is one `warning: <message>` line on stderr, on every run."""
+
+    WARNING = "warning: line 1: lower bound 4 is not a multiple of k=3\n"
+
+    def test_validate(self, capsys, files):
+        files["sigma"].write_text('div: 4 <= count(ETH="Asian")\n')
+        argv = ["--input", str(files["r2"]), "--constraints", str(files["sigma"]), "--k", "3"]
+        for _ in range(2):
+            code, _, err = run(capsys, "validate", *argv)
+            assert (code, err) == (1, self.WARNING)
+
+    def test_anonymize(self, capsys, files):
+        files["sigma"].write_text('div: count(ETH="Asian") <= 4\ndiv: count(GEN="Male") <= 7.5\n')
+        code, _, err = TestContract().anonymize(capsys, files)
+        assert code == 0
+        assert err == (
+            "warning: line 1: upper bound 4 is not a multiple of k=3\n"
+            "warning: line 2: upper bound 7.5 is not a multiple of k=3\n"
+        )
+
+
 @pytest.mark.skipif(shutil.which("anon") is None, reason="script not on PATH")
 def test_installed_script_reports_its_version():
     proc = subprocess.run(["anon", "--version"], capture_output=True, text=True)

@@ -1,11 +1,13 @@
 """Constraint language: parsing, error positions, printing, round trips."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from anonkit import (
+    AnonError,
     BinOp,
     Constraint,
     ConstraintKind,
@@ -23,6 +25,8 @@ from anonkit import (
     parse_constraint_line,
     parse_constraints,
 )
+
+from oracles import reference_parse_file, reference_parse_line
 
 
 class TestParsing:
@@ -341,3 +345,76 @@ def constraints(draw):
 def test_round_trip_property(constraint):
     line = format_constraint(constraint)
     assert parse_constraint_line(line) == constraint
+
+
+# One-character edits draw from every character the grammar gives a
+# meaning to, characters it rejects (a non-ASCII letter among them), a
+# non-ASCII digit, which \\d accepts, and whitespace that splitlines does
+# or does not split on.
+EDIT_CHARS = ' \t\n\u00a0#"\\()<=:,+-*/._$~\u00e9\u0663019AZaz'
+
+
+def _outcome(parse, text):
+    """The parse result, or the error as (type, message, line, column)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LintWarning)
+        try:
+            return parse(text)
+        except AnonError as e:
+            return (type(e), str(e), getattr(e, "line", None), getattr(e, "column", None))
+
+
+def _assert_parses_like_the_reference(text):
+    assert _outcome(lambda t: parse_constraint_line(t, line_no=3), text) == _outcome(
+        lambda t: reference_parse_line(t, 3), text
+    )
+    assert _outcome(parse_constraints, "# c\n" + text) == _outcome(
+        reference_parse_file, "# c\n" + text
+    )
+
+
+def _one_character_edits(text):
+    for i in range(len(text) + 1):
+        for ch in EDIT_CHARS:
+            yield text[:i] + ch + text[i:]
+    for i in range(len(text)):
+        yield text[:i] + text[i + 1 :]
+        for ch in EDIT_CHARS:
+            yield text[:i] + ch + text[i + 1 :]
+
+
+# Beyond the showcase: a comment a newline can end, an empty value one
+# deletion leaves a lone quote in, and errors raised before a character
+# that one insertion can put at the end of the line.
+EDIT_SEEDS = SHOWCASE_LINES + [
+    'div: 3 <= count(A="x") # c <= 6',
+    'div: 3 <= count(A="")',
+    'div: C <= count(A="x")',
+    'div: S("") <= count(A="x")',
+]
+
+
+@pytest.mark.parametrize("line", EDIT_SEEDS)
+def test_every_one_character_edit_parses_like_the_reference(line):
+    for text in _one_character_edits(line):
+        _assert_parses_like_the_reference(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_edited_lines_parse_like_the_reference(data):
+    pinned = [text for _, text, *_ in PINNED_ERRORS]
+    line = data.draw(
+        st.sampled_from(SHOWCASE_LINES + pinned) | constraints().map(format_constraint)
+    )
+    edit = data.draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit != "none":
+        char = data.draw(st.sampled_from(EDIT_CHARS) | st.characters())
+        i = data.draw(st.integers(0, len(line)))
+        if edit == "insert":
+            line = line[:i] + char + line[i:]
+        elif edit == "delete":
+            line = line[:i] + line[i + 1 :]
+        else:
+            line = line[:i] + char + line[i + 1 :]
+    _assert_parses_like_the_reference(line)

@@ -318,6 +318,12 @@ class TestAgainstScan:
         assert got == want
         assert all(a is b for a, b in zip(got, want))
 
+    @settings(max_examples=80, deadline=None)
+    @given(_sets, st.lists(_targets, max_size=5))
+    def test_untraced_derivation_keeps_the_range_and_no_steps(self, sigma, queries):
+        for tv in [c.target for c in sigma] + queries:
+            assert range_for_target(sigma, tv, trace=False) == (range_for_target(sigma, tv)[0], ())
+
     def test_seeded_sets(self):
         # 200 seeded sets with narrow ranges; the sample must hold both
         # verdicts and covers that drop members, or it checks too little.

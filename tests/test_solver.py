@@ -90,6 +90,12 @@ class TestProblem:
         with pytest.raises(SchemaError):
             Problem(r_initial, 3, ("GEN", "ZIP"))
 
+    def test_repeated_qi_attribute_rejected(self, r_initial):
+        # Listed twice, a column's stars would be counted twice.
+        for qi in (("GEN", "GEN"), ("GEN", "ETH", "GEN"), ["ETH", "ETH", "ETH"]):
+            with pytest.raises(ContractError, match=f"quasi-identifier '{qi[-1]}' is listed twice"):
+                Problem(r_initial, 3, qi)
+
     def test_pre_starred_input_rejected(self, r2):
         with pytest.raises(ContractError):
             Problem(r2, 3, QI)
