@@ -34,7 +34,7 @@ from .inference import (
     to_fixed,
     to_fixed_all,
 )
-from .relation import Relation, TargetValue, dump_relation, load_relation, refines
+from .relation import TargetValue, dump_relation, is_k_anonymous, load_relation, refines
 from .solver import (
     Aborted,
     Infeasible,
@@ -126,13 +126,19 @@ def _read_text(path: str) -> str:
 # --- subcommands ----------------------------------------------------------
 
 
+def _qi_list(text: str) -> tuple[str, ...]:
+    return tuple(a.strip() for a in text.split(",") if a.strip())
+
+
 def cmd_validate(args) -> int:
+    qi = None if args.qi is None else _qi_list(args.qi)
     config = RunConfig(
         command="validate",
         input_path=args.input,
         initial_path=args.initial,
         constraints_path=args.constraints,
         k=args.k,
+        qi=qi,
         star_token=args.star,
     )
     rp = load_relation(_read_text(args.input), star_token=args.star)
@@ -143,7 +149,8 @@ def cmd_validate(args) -> int:
             raise ContractError(f"{args.input} is not a cell suppression of {args.initial}")
     constraints = parse_constraints(_read_text(args.constraints), args.k)
     reports = check_all(initial, rp, constraints, args.k)
-    ok = all_satisfied(reports)
+    anonymous = qi is None or is_k_anonymous(rp, qi, args.k)
+    ok = all_satisfied(reports) and anonymous
 
     payload = _base_payload(config)
     payload["reports"] = [_report_json(r) for r in reports]
@@ -156,6 +163,10 @@ def cmd_validate(args) -> int:
             f"{_range_str(r.resolved_lo, r.resolved_hi):>12}  "
             f"{format_constraint(r.constraint)}"
         )
+    if qi is not None:
+        payload["k_anonymous"] = anonymous
+        verdict = "ok" if anonymous else "FAIL"
+        lines.append(f"{verdict:4} {args.k}-anonymous on {','.join(qi)}")
     lines.append(f"all satisfied: {'yes' if ok else 'no'}")
     _emit(payload, lines, args.pretty)
     return 0 if ok else 1
@@ -249,7 +260,7 @@ def cmd_mincover(args) -> int:
 
 
 def cmd_anonymize(args) -> int:
-    qi = tuple(a.strip() for a in args.qi.split(",") if a.strip())
+    qi = _qi_list(args.qi)
     config = RunConfig(
         command="anonymize",
         input_path=args.input,
@@ -327,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", help="pre-anonymization relation, for fairness constraints")
     p.add_argument("--constraints", required=True, help="constraint file")
     p.add_argument("--k", required=True, type=int, help="anonymity parameter")
+    p.add_argument("--qi", help="comma-separated quasi-identifiers; also check k-anonymity on them")
     p.add_argument("--star", default="*", help="suppression token in the CSV (default '*')")
     p.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     p.set_defaults(func=cmd_validate)

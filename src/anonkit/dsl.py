@@ -58,6 +58,12 @@ _ONE_CHAR_TOKENS = frozenset("_():,=+-*/0123456789abcdefghijklmnopqrstuvwxyzABCD
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
+# How deep a bound may nest: in parentheses, and in operators of its
+# expression tree. The parser recurses about three frames per
+# parenthesis, and tree walkers one frame per operator, so both stay
+# well inside Python's default recursion limit of 1,000.
+MAX_NESTING = 100
+
 
 def _columns(line: str) -> list[int]:
     """Each token's 1-based column, then the column just past the last token."""
@@ -88,6 +94,7 @@ class _LineParser:
         self.line = line
         self.line_no = line_no
         self.pos = 0
+        self.open_parens = 0
 
     def next(self) -> str:
         tok = self.tokens[self.pos]
@@ -159,49 +166,60 @@ class _LineParser:
         if text in ("ceil_k", "floor_k"):
             self.pos += 1
             self.expect("(")
-            inner = self.parse_arith()
+            inner, _ = self.parse_arith()
             self.expect(")")
             return Round(RoundMode.UP if text == "ceil_k" else RoundMode.DOWN, inner)
-        return self.parse_arith()
+        return self.parse_arith()[0]
 
-    def parse_arith(self, min_prec: int = 1) -> BoundExpr:
-        """Operators bind by _PRECEDENCE and associate to the left."""
-        node = self.parse_factor()
+    def too_deep(self, index: int) -> Exception:
+        return self.error(f"bound nested more than {MAX_NESTING} levels deep", index)
+
+    def parse_arith(self, min_prec: int = 1) -> tuple[BoundExpr, int]:
+        """The expression and its operator depth; operators bind by
+        _PRECEDENCE and associate to the left."""
+        node, depth = self.parse_factor()
         while True:
             op = self.tokens[self.pos]
             prec = _PRECEDENCE.get(op, 0)
             if prec < min_prec:
-                return node
+                return node, depth
             at = self.pos
             self.pos += 1
-            right = self.parse_arith(prec + 1)
+            right, right_depth = self.parse_arith(prec + 1)
             if op == "/" and isinstance(right, Literal) and right.value == 0:
                 raise self.error("division by zero", at, SemanticError)
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_NESTING:
+                raise self.too_deep(at)
             node = BinOp(op, node, right)
 
-    def parse_factor(self) -> BoundExpr:
+    def parse_factor(self) -> tuple[BoundExpr, int]:
         text = self.next()
         at = self.pos - 1
         if text[0].isdecimal():
-            return Literal(Fraction(text) if "." in text else int(text))
+            return Literal(Fraction(text) if "." in text else int(text)), 0
         if text == "(":
-            node = self.parse_arith()
+            self.open_parens += 1
+            if self.open_parens > MAX_NESTING:
+                raise self.too_deep(at)
+            inner = self.parse_arith()
             self.expect(")")
-            return node
+            self.open_parens -= 1
+            return inner
         if text == "N":
-            return Var(VarKind.OUTPUT_SIZE)
+            return Var(VarKind.OUTPUT_SIZE), 0
         if text in ("R0", "C"):
             if self.kind is ConstraintKind.DIVERSITY:
                 message = f"{text} reads the input relation; only fairness constraints may"
                 raise self.error(message, at, SemanticError)
-            return Var(VarKind.INITIAL_SIZE if text == "R0" else VarKind.INITIAL_TARGET_COUNT)
+            return Var(VarKind.INITIAL_SIZE if text == "R0" else VarKind.INITIAL_TARGET_COUNT), 0
         if text == "S":
             self.expect("(")
             arg = self.next()
             if arg[0] != '"':
                 raise self.error(f"expected quoted attribute, got {arg!r}", self.pos - 1)
             self.expect(")")
-            return StarCount(_unquote(arg))
+            return StarCount(_unquote(arg)), 0
         if text in ("ceil_k", "floor_k"):
             raise self.error(f"{text} only applies to a whole bound", at)
         raise self.error(f"expected a value, got {text!r}", at)
@@ -237,7 +255,7 @@ def _parse_line(line: str, k: int, line_no: int) -> Optional[Constraint]:
     tokens.append("")  # the end marker
     try:
         constraint = _LineParser(tokens, line, line_no).parse_constraint()
-    except (AnonError, RecursionError):
+    except AnonError:
         # A character that starts no token is reported first, wherever it is.
         for text, column in zip(tokens, _columns(line)):
             if len(text) == 1 and text not in _ONE_CHAR_TOKENS and not text.isdecimal():

@@ -214,9 +214,15 @@ def refines(original: Relation, suppressed: Relation) -> bool:
 
 
 def _check_qi(relation: Relation, qi: Sequence[str]) -> tuple[int, ...]:
+    """The column index of each QI attribute, which must be known and listed once."""
     if not qi:
         raise SchemaError("quasi-identifier set must be non-empty")
-    return tuple(relation.column_index(a) for a in qi)
+    indices = []
+    for i, a in enumerate(qi):
+        indices.append(relation.column_index(a))  # raises SchemaError when unknown
+        if a in qi[:i]:  # its stars would count twice
+            raise ContractError(f"quasi-identifier {a!r} is listed twice")
+    return tuple(indices)
 
 
 def is_k_anonymous(relation: Relation, qi: Sequence[str], k: int) -> bool:

@@ -15,10 +15,11 @@ constraint violations by local moves).
 
 Under the canonical suppression the loss, the star count of each
 attribute and the count of each constraint target are sums of per-group
-terms. Branch and bound and greedy therefore score candidates from group
-summaries and never build an output relation for one; build_anonymized
-and check_all, the reference path, run only to materialise the Solution
-a solver returns. The oracle, the ground truth for tests, evaluates every
+terms. Greedy therefore scores candidates from group summaries, and
+branch and bound keeps those sums up to date as it places rows; neither
+builds an output relation for a candidate. build_anonymized and
+check_all, the reference path, run only to materialise the Solution a
+solver returns. The oracle, the ground truth for tests, evaluates every
 partition on the reference path.
 """
 
@@ -39,7 +40,7 @@ from .errors import ContractError, OracleCapError, SchemaError
 from .relation import (
     STAR,
     Relation,
-    TargetValue,
+    _check_qi,
     count_target,
     info_loss,
     is_k_anonymous,
@@ -108,10 +109,7 @@ class Problem:
             raise ContractError(f"k must be >= 1, got {k}")
         if not qi:
             raise ContractError("quasi-identifier set must be non-empty")
-        for i, a in enumerate(qi):
-            relation.column_index(a)  # raises SchemaError when unknown
-            if a in qi[:i]:  # its stars would count twice
-                raise ContractError(f"quasi-identifier {a!r} is listed twice")
+        _check_qi(relation, qi)
         if any(cell is STAR for row in relation.rows for cell in row):
             raise ContractError("input relation already contains suppressed cells")
         known = set(relation.schema)
@@ -411,35 +409,14 @@ class _Evaluator:
 # --- branch and bound ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _StaticBound:
-    """A constant count bound, split into QI and pass-through target parts.
-
-    The split matters to the prunes: only the QI part is subject to
-    group uniformity, the rest is fixed per row.
-    """
-
-    target: TargetValue
-    lo: Optional[int]
-    hi: Optional[int]
-    qi_part: tuple[tuple[int, str], ...]
-    other_part: tuple[tuple[int, str], ...]
-
-
-def _static_bounds(problem: Problem) -> list[_StaticBound]:
+def _static_bounds(problem: Problem) -> list[tuple[int, Optional[int], Optional[int]]]:
+    """(index, lo, hi) of each constraint with a constant bound; None where not."""
     out = []
-    qi_set = set(problem.qi)
-    for c in problem.sigma:
+    for t, c in enumerate(problem.sigma):
         lo = max(0, math.ceil(c.lower.value)) if isinstance(c.lower, Literal) else None
         hi = max(0, math.floor(c.upper.value)) if isinstance(c.upper, Literal) else None
-        if lo is None and hi is None:
-            continue
-        qi_part = []
-        other_part = []
-        for a, v in c.target.sorted_entries():
-            col = problem.relation.column_index(a)
-            (qi_part if a in qi_set else other_part).append((col, v))
-        out.append(_StaticBound(c.target, lo, hi, tuple(qi_part), tuple(other_part)))
+        if lo is not None or hi is not None:
+            out.append((t, lo, hi))
     return out
 
 
@@ -452,11 +429,22 @@ def solve_exact(problem: Problem) -> SolveResult:
     """Branch and bound over partitions; optimal when it completes.
 
     Rows are assigned in index order to an existing group or a new one.
-    A branch dies when (a) cells already starred reach the incumbent
-    loss, (b) the unassigned rows cannot fill every undersized group,
-    or (c)/(d) a constant count bound is provably violated in every
-    completion of the branch. Leaves are checked from group summaries;
-    only the returned clustering is materialised.
+    A placement is dropped when (a) the unassigned rows cannot fill
+    every undersized group, (b) cells already starred reach the
+    incumbent loss, or (c)/(d) a constant count bound is provably
+    violated in every completion of the branch; (a) and (b) are decided
+    before the placement changes any state.
+
+    A group's output QI projection is a bit mask of the QI positions
+    where every member agrees with its first row. Joining a row ANDs in
+    the positions where the row agrees with that first row, memoised
+    per solve, and the group's stars per row are the positions left
+    out. Each group also keeps, per constraint, how many members are on
+    the whole target; the group counts toward the target when its mask
+    holds the target's QI positions. Target counts are kept as running
+    totals, so the count prunes read them in O(#bounds), and leaves are
+    scored from the masks and totals through the evaluator's bound
+    memo. Only the returned clustering is materialised.
     """
     stats = SolverStats(
         prunes={"loss_bound": 0, "underfill": 0, "upper_bound": 0, "lower_bound": 0}
@@ -474,138 +462,218 @@ def solve_exact(problem: Problem) -> SolveResult:
     statics = _static_bounds(problem)
     # Suppression never creates values: a constant lower bound above the
     # input count can never be met.
-    for sb in statics:
-        if sb.lo is not None and sb.lo > count_target(relation, sb.target):
+    for t, lo, _ in statics:
+        target = problem.sigma[t].target
+        if lo is not None and lo > count_target(relation, target):
             stats.wall_time = time.monotonic() - start
             return Infeasible(
-                f"({sb.target}) occurs {count_target(relation, sb.target)} "
-                f"time(s) in the input, below the lower bound {sb.lo}",
+                f"({target}) occurs {count_target(relation, target)} "
+                f"time(s) in the input, below the lower bound {lo}",
                 stats,
             )
 
-    rows = relation.rows
     ev = _Evaluator(problem)
+    n_qi = ev.n_qi
+    proj = ev.proj
+    position_bits = [1 << p for p in range(n_qi)]
 
-    # Per static bound: which rows match the target's QI part / all of it.
-    qi_match = [
-        [_row_matches(r, sb.qi_part) for r in rows] for sb in statics
+    # Per constraint: the QI positions of its target's QI part, and per
+    # row whether the row is on that part / on the whole target. A group
+    # whose mask holds those positions shares its first row's values
+    # there, so if the first row is off the part, so is every member:
+    # the group's count of members on the whole target is then 0.
+    needs: list[int] = []
+    qi_match: list[list[bool]] = []
+    full_match: list[list[int]] = []
+    for qi_part, other_match in ev._targets:
+        needs.append(sum(position_bits[p] for p, _ in qi_part))
+        on_part = [_row_matches(r, qi_part) for r in proj]
+        qi_match.append(on_part)
+        full_match.append([int(q and m) for q, m in zip(on_part, other_match)])
+    no_counts = (0,) * len(needs)
+    row_full = list(zip(*full_match)) if needs else [()] * n
+    # Per static bound: its constraint, lo, hi, and suffix counts over
+    # rows i..n-1 (i = 0..n) of rows off the target's QI part / on the
+    # whole target.
+    static_checks = [
+        (t, lo, hi, _suffix_counts([not m for m in qi_match[t]]), _suffix_counts(full_match[t]))
+        for t, lo, hi in statics
     ]
-    full_match = [
-        [qi_match[s][i] and _row_matches(rows[i], statics[s].other_part) for i in range(n)]
-        for s in range(len(statics))
-    ]
-    # Suffix counts over rows i..n-1, for i = 0..n.
-    suffix_non_qi_match = [_suffix_counts([not m for m in qm]) for qm in qi_match]
-    suffix_full_match = [_suffix_counts(fm) for fm in full_match]
+    # agree[f], made when row f first leads a group, has entry i with bit
+    # p set when rows f and i share their value at QI position p. It is
+    # filled lazily, so set-up stays O(n).
+    agree: list[Optional[dict[int, int]]] = [None] * n
 
     groups: list[list[int]] = []
-    unis: list[tuple] = []  # each group's output QI projection
+    masks: list[int] = []  # QI positions where every member agrees with the first
+    stars: list[int] = []  # each group's stars per row
+    counts: list[tuple[int, ...]] = []  # per group and constraint: members on the target
+    memos: list[dict[int, int]] = []  # agree[first member]
+    totals = no_counts  # per constraint: the target's count in the output
     loss = 0  # stars of the groups as they stand
     deficit = 0  # rows still missing from undersized groups
-    best: Optional[tuple[int, Clustering]] = None
+    best_loss = n * n_qi + 1  # above any loss until an incumbent exists
+    best: Optional[Clustering] = None
+    prunes = stats.prunes
+    # Leaves count stars only in the QI positions some bound reads.
+    read_bits = [(p, position_bits[p]) for p in sorted(set().union(*ev._reads))]
 
-    def count_prunes_fail(next_row: int) -> Optional[str]:
-        """Can some completion still respect every constant bound?"""
-        for s, sb in enumerate(statics):
-            matching: list[int] = []  # contribution of each QI-matching group
-            total = 0
-            for g in groups:
-                if all(qi_match[s][i] for i in g):
-                    contrib = sum(1 for i in g if full_match[s][i])
-                    matching.append(contrib)
-                    total += contrib
-            if sb.hi is not None:
-                # Each remaining QI-mismatching row can neutralize at most
+    def count_prune(i, slot, mask, new_counts, new_totals) -> Optional[str]:
+        """Is a constant bound violated in every completion, with row i in the slot?"""
+        for t, lo, hi, suffix_off_qi, suffix_full in static_checks:
+            if hi is not None:
+                # The contribution of each group on the target's QI part.
+                need = needs[t]
+                contrib = [
+                    c[t]
+                    for s, (m, c) in enumerate(zip(masks, counts))
+                    if s != slot and m & need == need
+                ]
+                if mask & need == need:
+                    contrib.append(new_counts[t])
+                # Each remaining row off the QI part can neutralize at most
                 # one matching group; the rest keep at least their current
                 # contribution, and the adversary spares the smallest.
-                spare = len(matching) - suffix_non_qi_match[s][next_row]
-                if spare > 0 and sum(sorted(matching)[:spare]) > sb.hi:
+                spare = len(contrib) - suffix_off_qi[i + 1]
+                if spare > 0 and sum(sorted(contrib)[:spare]) > hi:
                     return "upper_bound"
-            if sb.lo is not None:
-                # The count can only grow by remaining fully-matching rows.
-                if total + suffix_full_match[s][next_row] < sb.lo:
-                    return "lower_bound"
+            # The count can only grow by remaining fully-matching rows.
+            if lo is not None and new_totals[t] + suffix_full[i + 1] < lo:
+                return "lower_bound"
         return None
 
-    def placements(i: int):
-        """Put row i in each existing group, then in a new one.
-
-        Yields once per placement no prune rules out, with that placement
-        in force; the next resumption takes it back.
-        """
-        nonlocal loss, deficit
-        proj = ev.proj[i]
-        for slot in range(len(groups) + 1):
-            if slot == len(groups):
-                groups.append([i])
-                unis.append(proj)
-                old_uni, added, filled = None, 0, 1 - k
-            else:
-                g = groups[slot]
-                old_uni = unis[slot]
-                unis[slot] = _join(old_uni, proj)
-                added = (len(g) + 1) * unis[slot].count(STAR) - len(g) * old_uni.count(STAR)
-                filled = int(len(g) < k)
-                g.append(i)
-            loss += added
-            deficit -= filled
-            try:
-                if deficit > n - (i + 1):
-                    stats.prunes["underfill"] += 1
-                    continue
-                if best is not None and loss >= best[0]:
-                    stats.prunes["loss_bound"] += 1
-                    continue
-                reason = count_prunes_fail(i + 1)
-                if reason is not None:
-                    stats.prunes[reason] += 1
-                    continue
-                yield True
-            finally:
-                loss -= added
-                deficit += filled
-                if old_uni is None:
-                    groups.pop()
-                    unis.pop()
-                else:
-                    groups[slot].pop()
-                    unis[slot] = old_uni
-
-    # Depth-first without recursion: the stack holds one placements()
-    # generator per row placed so far, so its depth is the next row.
-    stack = []
-    aborted = False
-    nodes = 0
+    # Depth-first without recursion. Row i's placement in force is
+    # undone[i], the state it replaced; next_slot[i] is the slot to try
+    # after it.
+    next_slot = [0] * n
+    undone: list[Optional[tuple]] = [None] * n
     max_nodes, time_budget = limits.max_nodes, limits.time_budget
-    while True:
-        # Enter the node whose rows 0..len(stack)-1 are placed.
+    nodes = 1  # the root: no row placed
+    aborted = (max_nodes is not None and nodes > max_nodes) or (
+        time_budget is not None and time.monotonic() - start > time_budget
+    )
+    i = 0
+    while not aborted:
+        record = undone[i]
+        if record is not None:  # take row i's placement back
+            undone[i] = None
+            slot, old_mask, old_stars, old_counts, totals, added, filled = record
+            loss -= added
+            deficit += filled
+            if old_mask is None:
+                groups.pop()
+                masks.pop()
+                stars.pop()
+                counts.pop()
+                memos.pop()
+            else:
+                groups[slot].pop()
+                masks[slot] = old_mask
+                stars[slot] = old_stars
+                counts[slot] = old_counts
+        # Find row i's next slot that no prune rules out. The cheap prunes
+        # need only the group size and the new mask, and change no state.
+        row_counts = row_full[i]
+        rest = n - (i + 1)
+        slot = next_slot[i]
+        n_groups = len(groups)
+        while slot <= n_groups:
+            if slot < n_groups:
+                size = len(groups[slot])
+                filled = int(size < k)
+            else:
+                filled = 1 - k
+            if deficit - filled > rest:
+                prunes["underfill"] += 1
+                slot += 1
+                continue
+            if slot < n_groups:
+                memo = memos[slot]
+                bits = memo.get(i)
+                if bits is None:
+                    first = proj[groups[slot][0]]
+                    bits = memo[i] = sum(
+                        b for b, x, y in zip(position_bits, first, proj[i]) if x == y
+                    )
+                prev = old_mask = masks[slot]
+                old_stars = stars[slot]
+                old_counts = counts[slot]
+                mask = old_mask & bits
+                new_stars = n_qi - mask.bit_count() if mask != old_mask else old_stars
+                added = (size + 1) * new_stars - size * old_stars
+            else:
+                memo = agree[i]
+                if memo is None:
+                    memo = agree[i] = {}
+                old_mask = old_stars = None
+                prev = 0  # no group before; it subtracts counts of 0
+                old_counts = no_counts
+                mask, new_stars, added = (1 << n_qi) - 1, 0, 0
+            if loss + added >= best_loss:
+                prunes["loss_bound"] += 1
+                slot += 1
+                continue
+            new_counts = tuple(map(int.__add__, old_counts, row_counts))
+            new_totals = list(totals)
+            for t, need in enumerate(needs):
+                if prev & need == need:
+                    new_totals[t] -= old_counts[t]
+                if mask & need == need:
+                    new_totals[t] += new_counts[t]
+            reason = static_checks and count_prune(i, slot, mask, new_counts, new_totals)
+            if not reason:
+                break
+            prunes[reason] += 1
+            slot += 1
+        else:  # row i has no placement left: back up a row
+            if i == 0:
+                break
+            i -= 1
+            continue
+
+        # Put row i in the slot and enter the node below.
+        undone[i] = (slot, old_mask, old_stars, old_counts, totals, added, filled)
+        next_slot[i] = slot + 1
+        if old_mask is None:
+            groups.append([i])
+            masks.append(mask)
+            stars.append(0)
+            counts.append(new_counts)
+            memos.append(memo)
+        else:
+            groups[slot].append(i)
+            masks[slot] = mask
+            stars[slot] = new_stars
+            counts[slot] = new_counts
+        totals = tuple(new_totals)
+        loss += added
+        deficit -= filled
         nodes += 1
         if (max_nodes is not None and nodes > max_nodes) or (
             time_budget is not None and time.monotonic() - start > time_budget
         ):
             aborted = True
-            break
-        depth = len(stack)
-        if depth < n:
-            stack.append(placements(depth))
-        elif not deficit:
-            totals = ev.totals(map(ev.summary, groups, unis))
-            if not ev.violations(totals) and (best is None or totals[0] < best[0]):
-                best = (totals[0], Clustering([tuple(g) for g in groups]))
-        # Resume the deepest row with placements left, dropping spent ones.
-        while stack and not next(stack[-1], False):
-            stack.pop()
-        if not stack:
-            break
-    while stack:  # after an abort: undo the placements in force, deepest first
-        stack.pop().close()
+        elif i + 1 < n:
+            i += 1
+            next_slot[i] = 0
+        else:
+            # A leaf. The last placement passed the underfill and loss
+            # prunes, so no group is undersized and the loss beats the
+            # incumbent's: it is the new incumbent if it meets every
+            # constraint.
+            per_position = [0] * n_qi
+            for p, bit in read_bits:
+                per_position[p] = sum(len(g) for g, m in zip(groups, masks) if not m & bit)
+            scored = (loss, *per_position, *totals)
+            if not ev.violations(scored):
+                best_loss = loss
+                best = Clustering([tuple(g) for g in groups])
     stats.nodes_expanded = nodes
 
     solution = None
     if best is not None:
-        clustering = best[1]
-        rp, reports = _evaluate(problem, clustering)
-        solution = _make_solution(problem, clustering, rp, reports, not aborted, stats)
+        rp, reports = _evaluate(problem, best)
+        solution = _make_solution(problem, best, rp, reports, not aborted, stats)
     stats.wall_time = time.monotonic() - start
 
     if aborted:

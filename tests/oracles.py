@@ -3,14 +3,17 @@
 Everything here recomputes results from first principles with code
 paths disjoint from the production modules: a row counter, a
 satisfaction check on fixed constraints, an axiom-closure range
-derivation, a reference constraint-line parser, and random instance
-generators. Slow and simple on purpose.
+derivation, a reference constraint-line parser, the earlier
+branch-and-bound search, and random instance generators. Slow and
+simple on purpose.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
+import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,6 +41,20 @@ from anonkit import (
 )
 from anonkit.constraints import BoundExpr
 from anonkit.inference import TraceStep
+from anonkit.relation import STAR, count_target
+from anonkit.solver import (
+    Aborted,
+    Clustering,
+    Infeasible,
+    Problem,
+    SolverStats,
+    _evaluate,
+    _Evaluator,
+    _join,
+    _make_solution,
+    _row_matches,
+    _suffix_counts,
+)
 
 ATTRS = ("A", "B", "C")
 VALUES = ("a", "b", "c")
@@ -391,3 +408,167 @@ def reference_parse_file(text: str) -> list[Constraint]:
         if tokens[0][0] != "end":
             out.append(_RefLineParser(tokens, i).parse_constraint())
     return out
+
+
+# --- reference branch and bound ----------------------------------------------
+# solve_exact as it stood before groups became bit masks: tuple projections
+# joined cell by cell, each placement applied before any prune, and the
+# count prunes recomputed from every group's members. It shares the group
+# evaluator and the answer materialisation with the package.
+
+
+def _ref_static_bounds(problem: Problem) -> list[tuple]:
+    """(target, lo, hi, QI part, other part) per constraint with a constant bound."""
+    out = []
+    qi_set = set(problem.qi)
+    for c in problem.sigma:
+        lo = max(0, math.ceil(c.lower.value)) if isinstance(c.lower, Literal) else None
+        hi = max(0, math.floor(c.upper.value)) if isinstance(c.upper, Literal) else None
+        if lo is None and hi is None:
+            continue
+        qi_part = []
+        other_part = []
+        for a, v in c.target.sorted_entries():
+            col = problem.relation.column_index(a)
+            (qi_part if a in qi_set else other_part).append((col, v))
+        out.append((c.target, lo, hi, tuple(qi_part), tuple(other_part)))
+    return out
+
+
+def reference_solve_exact(problem: Problem):
+    """solve_exact by the reference search; same results, counters included."""
+    stats = SolverStats(
+        prunes={"loss_bound": 0, "underfill": 0, "upper_bound": 0, "lower_bound": 0}
+    )
+    start = time.monotonic()
+    relation = problem.relation
+    n = relation.n_rows
+    k = problem.k
+    limits = problem.limits
+
+    if n < k:
+        stats.wall_time = time.monotonic() - start
+        return Infeasible(f"{n} rows cannot form a group of size {k}", stats)
+
+    statics = _ref_static_bounds(problem)
+    for target, lo, _, _, _ in statics:
+        if lo is not None and lo > count_target(relation, target):
+            stats.wall_time = time.monotonic() - start
+            return Infeasible(
+                f"({target}) occurs {count_target(relation, target)} "
+                f"time(s) in the input, below the lower bound {lo}",
+                stats,
+            )
+
+    rows = relation.rows
+    ev = _Evaluator(problem)
+
+    qi_match = [[_row_matches(r, sb[3]) for r in rows] for sb in statics]
+    full_match = [
+        [qi_match[s][i] and _row_matches(rows[i], statics[s][4]) for i in range(n)]
+        for s in range(len(statics))
+    ]
+    suffix_non_qi_match = [_suffix_counts([not m for m in qm]) for qm in qi_match]
+    suffix_full_match = [_suffix_counts(fm) for fm in full_match]
+
+    groups: list[list[int]] = []
+    unis: list[tuple] = []
+    loss = 0
+    deficit = 0
+    best = None
+
+    def count_prunes_fail(next_row: int):
+        for s, (_, lo, hi, _, _) in enumerate(statics):
+            matching: list[int] = []
+            total = 0
+            for g in groups:
+                if all(qi_match[s][i] for i in g):
+                    contrib = sum(1 for i in g if full_match[s][i])
+                    matching.append(contrib)
+                    total += contrib
+            if hi is not None:
+                spare = len(matching) - suffix_non_qi_match[s][next_row]
+                if spare > 0 and sum(sorted(matching)[:spare]) > hi:
+                    return "upper_bound"
+            if lo is not None:
+                if total + suffix_full_match[s][next_row] < lo:
+                    return "lower_bound"
+        return None
+
+    def placements(i: int):
+        nonlocal loss, deficit
+        proj = ev.proj[i]
+        for slot in range(len(groups) + 1):
+            if slot == len(groups):
+                groups.append([i])
+                unis.append(proj)
+                old_uni, added, filled = None, 0, 1 - k
+            else:
+                g = groups[slot]
+                old_uni = unis[slot]
+                unis[slot] = _join(old_uni, proj)
+                added = (len(g) + 1) * unis[slot].count(STAR) - len(g) * old_uni.count(STAR)
+                filled = int(len(g) < k)
+                g.append(i)
+            loss += added
+            deficit -= filled
+            try:
+                if deficit > n - (i + 1):
+                    stats.prunes["underfill"] += 1
+                    continue
+                if best is not None and loss >= best[0]:
+                    stats.prunes["loss_bound"] += 1
+                    continue
+                reason = count_prunes_fail(i + 1)
+                if reason is not None:
+                    stats.prunes[reason] += 1
+                    continue
+                yield True
+            finally:
+                loss -= added
+                deficit += filled
+                if old_uni is None:
+                    groups.pop()
+                    unis.pop()
+                else:
+                    groups[slot].pop()
+                    unis[slot] = old_uni
+
+    stack = []
+    aborted = False
+    nodes = 0
+    max_nodes, time_budget = limits.max_nodes, limits.time_budget
+    while True:
+        nodes += 1
+        if (max_nodes is not None and nodes > max_nodes) or (
+            time_budget is not None and time.monotonic() - start > time_budget
+        ):
+            aborted = True
+            break
+        depth = len(stack)
+        if depth < n:
+            stack.append(placements(depth))
+        elif not deficit:
+            totals = ev.totals(map(ev.summary, groups, unis))
+            if not ev.violations(totals) and (best is None or totals[0] < best[0]):
+                best = (totals[0], Clustering([tuple(g) for g in groups]))
+        while stack and not next(stack[-1], False):
+            stack.pop()
+        if not stack:
+            break
+    while stack:
+        stack.pop().close()
+    stats.nodes_expanded = nodes
+
+    solution = None
+    if best is not None:
+        clustering = best[1]
+        rp, reports = _evaluate(problem, clustering)
+        solution = _make_solution(problem, clustering, rp, reports, not aborted, stats)
+    stats.wall_time = time.monotonic() - start
+
+    if aborted:
+        return Aborted(solution, stats)
+    if solution is None:
+        return Infeasible("no clustering satisfies every constraint", stats)
+    return solution

@@ -38,3 +38,23 @@ def test_smoke_fingerprints_are_unchanged():
         elif words[:1] == ["fingerprint"]:
             got.setdefault(workload, set()).add(words[1])
     assert got == {name: {fp} for name, fp in EXPECTED.items()}
+
+
+# The full-size exact-bnb run (160 instances of 12 rows, 400 nodes each),
+# recorded before branch and bound kept groups as bit masks: the same
+# clusterings, losses, node counts and prune counts on a workload whose
+# searches nearly all stop at their node budget.
+EXACT_BNB_FULL = "169f8b165d8eb2b2290a07b3a048402b946d5fc13eba95ae0e50d413fda66366"
+
+
+def test_full_exact_bnb_fingerprint_is_unchanged():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "exact-bnb",
+         "--size", "full", "--seconds", "0", "--seed", "0"],  # fmt: skip
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = [line.split()[1] for line in proc.stdout.splitlines() if line.split()[:1] == ["fingerprint"]]
+    assert got == [EXACT_BNB_FULL]

@@ -660,6 +660,135 @@ class TestLintWarnings:
         )
 
 
+class TestValidateQi:
+    """validate --qi also checks k-anonymity on the listed attributes."""
+
+    def validate(self, capsys, files, csv, *extra):
+        files["sigma"].write_text(ASIAN_RANGE_LINE + "\n")
+        argv = ["--input", str(files[csv]), "--constraints", str(files["sigma"]), "--k", "3"]
+        return run(capsys, "validate", *argv, *extra)
+
+    def test_k_anonymous_input_passes(self, capsys, files):
+        code, out, err = self.validate(capsys, files, "r2", "--qi", "GEN,ETH", "--pretty")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["ok   3-anonymous on GEN,ETH", "all satisfied: yes"]
+        code, out, _ = self.validate(capsys, files, "r2", "--qi", "GEN, ETH")
+        payload = json.loads(out)
+        assert code == 0 and payload["k_anonymous"] is True
+        assert payload["config"]["qi"] == ["GEN", "ETH"]
+
+    def test_failure_is_one_fail_line_and_exit_1(self, capsys, files):
+        # The unanonymized input meets the constraint but has a lone (Female, White).
+        code, out, err = self.validate(capsys, files, "initial", "--qi", "GEN,ETH", "--pretty")
+        assert (code, err) == (1, "")
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL 3-anonymous on GEN,ETH"
+        ]
+        assert out.splitlines()[-1] == "all satisfied: no"
+        code, out, _ = self.validate(capsys, files, "initial", "--qi", "GEN,ETH")
+        payload = json.loads(out)
+        assert code == 1 and payload["k_anonymous"] is False and payload["all_satisfied"] is False
+
+    def test_one_attribute_can_be_enough(self, capsys, files):
+        code, _, _ = self.validate(capsys, files, "initial", "--qi", "ETH", "--pretty")
+        assert code == 0
+
+    def test_without_qi_nothing_changes(self, capsys, files):
+        code, out, err = self.validate(capsys, files, "initial", "--pretty")
+        assert (code, err) == (0, "")
+        assert out == (
+            'ok   observed    3 in        [3,6]  div: 3 <= count(ETH="Asian") <= 6\n'
+            "all satisfied: yes\n"
+        )
+        payload = json.loads(self.validate(capsys, files, "initial")[1])
+        assert "k_anonymous" not in payload and payload["config"]["qi"] is None
+
+    @pytest.mark.parametrize(
+        "qi, message",
+        [
+            ("GEN,AGE", "error: unknown attribute: 'AGE'"),
+            ("ETH,ETH", "error: quasi-identifier 'ETH' is listed twice"),
+            (",", "error: quasi-identifier set must be non-empty"),
+        ],
+    )
+    def test_bad_attribute_list_exits_2(self, capsys, files, qi, message):
+        code, out, err = self.validate(capsys, files, "r2", "--qi", qi)
+        assert (code, out, err) == (2, "", message + "\n")
+
+
+class TestDeepNesting:
+    """A bound nested past the limit is one parse error, not a traceback."""
+
+    DEEP_PARENS = "(" * 2000 + "6" + ")" * 2000
+    LONG_CHAIN = "+".join(["0"] * 3000 + ["6"])
+    SIGN_CHAIN = "- " * 3000 + "6"
+
+    def check(self, result, message):
+        code, out, err = result
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(message), err
+        assert "Traceback" not in out + err
+
+    def satisfiable(self, capsys, files, bound):
+        files["sigma"].write_text(f'div: 3 <= count(ETH="Asian") <= {bound}\n')
+        return run(capsys, "satisfiable", "--constraints", str(files["sigma"]), "--pretty")
+
+    def validate(self, capsys, files, bound):
+        files["sigma"].write_text(f'div: 3 <= count(ETH="Asian") <= {bound}\n')
+        argv = ["--input", str(files["r2"]), "--constraints", str(files["sigma"]), "--k", "3"]
+        return run(capsys, "validate", *argv, "--pretty")
+
+    def anonymize(self, capsys, files, bound):
+        files["sigma"].write_text(f'div: 3 <= count(ETH="Asian") <= {bound}\n')
+        return TestContract().anonymize(capsys, files)
+
+    @pytest.mark.parametrize("command", ["satisfiable", "validate", "anonymize"])
+    def test_deep_parentheses(self, capsys, files, command):
+        result = getattr(self, command)(capsys, files, self.DEEP_PARENS)
+        # The bound starts in column 33; its 101st parenthesis is 100 further.
+        self.check(result, "error: line 1, col 133: bound nested more than 100 levels deep")
+
+    @pytest.mark.parametrize("command", ["satisfiable", "validate", "anonymize"])
+    def test_long_operator_chain(self, capsys, files, command):
+        result = getattr(self, command)(capsys, files, self.LONG_CHAIN)
+        # The 101st '+' sits after 101 zeros and 100 pluses.
+        self.check(result, "error: line 1, col 234: bound nested more than 100 levels deep")
+
+    @pytest.mark.parametrize("command", ["satisfiable", "validate", "anonymize"])
+    def test_long_sign_chain(self, capsys, files, command):
+        result = getattr(self, command)(capsys, files, self.SIGN_CHAIN)
+        self.check(result, "error: line 1, col 33: expected a value, got '-'")
+
+    def test_deepest_accepted_parentheses(self, capsys, files):
+        code, out, _ = self.satisfiable(capsys, files, "(" * 100 + "6" + ")" * 100)
+        assert code == 0 and out.startswith("satisfiable")
+        code, out, _ = self.validate(capsys, files, "(" * 100 + "6" + ")" * 100)
+        assert code == 0 and out.endswith("all satisfied: yes\n")
+        code, _, err = self.anonymize(capsys, files, "(" * 100 + "6" + ")" * 100)
+        assert (code, err) == (0, "")
+
+    def test_deepest_accepted_chain(self, capsys, files):
+        chain = "+".join(["0"] * 100 + ["6"])
+        code, out, _ = self.validate(capsys, files, chain)
+        assert code == 0 and out.endswith("all satisfied: yes\n")
+        assert out.count("0 + ") == 100  # printed back whole
+        code, _, err = self.anonymize(capsys, files, chain)
+        assert (code, err) == (0, "")
+        # satisfiable reads only plain-number bounds, and says so.
+        code, _, err = self.satisfiable(capsys, files, chain)
+        assert code == 2 and "variable bounds" in err and err.count("\n") == 1
+
+    def test_fairness_bound_at_the_limit(self, capsys, files):
+        inner = "(" * 99 + 'C / R0 * (N - S("GEN"))' + ")" * 99
+        files["sigma"].write_text(f'fair: ceil_k({inner}) <= count(GEN="Female")\n')
+        code, _, err = TestContract().anonymize(capsys, files)
+        assert (code, err) == (0, "")
+        report = json.loads(files["report"].read_text())
+        assert report["reports"][0]["constraint"] == (
+            'fair: ceil_k(C / R0 * (N - S("GEN"))) <= count(GEN="Female")'
+        )
+
+
 @pytest.mark.skipif(shutil.which("anon") is None, reason="script not on PATH")
 def test_installed_script_reports_its_version():
     proc = subprocess.run(["anon", "--version"], capture_output=True, text=True)

@@ -25,6 +25,7 @@ from anonkit import (
     parse_constraint_line,
     parse_constraints,
 )
+from anonkit.dsl import MAX_NESTING
 
 from oracles import reference_parse_file, reference_parse_line
 
@@ -206,6 +207,53 @@ def test_line_number_is_passed_through():
         7,
         27,
     )
+
+
+class TestNestingLimit:
+    """Bounds nest at most MAX_NESTING deep, in parentheses and in operators."""
+
+    def error(self, bound, line_no=1):
+        with pytest.raises(ParseError) as exc:
+            parse_constraint_line(f'div: count(A="x") <= {bound}', line_no=line_no)
+        return str(exc.value), exc.value.line, exc.value.column
+
+    def test_parentheses(self):
+        assert MAX_NESTING == 100
+        bound = "(" * 101 + "6" + ")" * 101
+        # count(...) <= starts the bound in column 22; the 101st '(' is in 122.
+        assert self.error(bound, 4) == (
+            "line 4, col 122: bound nested more than 100 levels deep", 4, 122
+        )
+        parsed = parse_constraint_line(f'div: count(A="x") <= {bound[1:-1]}')
+        assert parsed.upper == Literal(6)
+
+    def test_operator_chain(self):
+        chain = "*".join(["1"] * 100 + ["6"])
+        node = parse_constraint_line(f'div: count(A="x") <= {chain}').upper
+        depth = 0
+        while isinstance(node, BinOp):
+            node, depth = node.left, depth + 1
+        assert depth == 100
+        assert self.error(chain + "*1") == (
+            "line 1, col 223: bound nested more than 100 levels deep", 1, 223
+        )
+
+    def test_only_open_parentheses_count(self):
+        # 101 parenthesised terms side by side: 100 operators, one level of parentheses.
+        bound = "+".join(["(1)"] * 101)
+        assert isinstance(parse_constraint_line(f'div: {bound} <= count(A="x") <= {bound}').upper, BinOp)
+
+    def test_depth_adds_up_across_parentheses(self):
+        # 50 levels of (1 + (...)) hold 50 operators in 50 parentheses.
+        bound = "(1 + " * 50 + "6" + ")" * 50
+        assert parse_constraint_line(f'div: count(A="x") <= {bound}').upper is not None
+        with pytest.raises(ParseError, match="nested more than 100"):
+            parse_constraint_line(f'div: count(A="x") <= {bound} + ' + "+".join(["1"] * 51))
+
+    def test_stray_character_is_still_reported_first(self):
+        assert self.error("(" * 2000 + "6" + ")" * 2000 + " $")[0].endswith(
+            "unexpected character '$'"
+        )
 
 
 class TestLayoutParsesAsBefore:
