@@ -131,6 +131,8 @@ def _qi_list(text: str) -> tuple[str, ...]:
 
 
 def cmd_validate(args) -> int:
+    if args.k < 1:  # an empty constraint file would never read k
+        raise ContractError(f"k must be >= 1, got {args.k}")
     qi = None if args.qi is None else _qi_list(args.qi)
     config = RunConfig(
         command="validate",

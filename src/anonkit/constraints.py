@@ -41,8 +41,8 @@ class FrequencyRange:
     """An integer interval [lo, hi], hi=None meaning unbounded above.
 
     Empty ranges (lo > hi) are legal and kept as written: [6,5] prints
-    as [6,5]. Every empty range behaves identically under contains,
-    intersect and issubset.
+    as [6,5]. Every empty range behaves identically under contains and
+    issubset.
     """
 
     lo: int
@@ -58,16 +58,6 @@ class FrequencyRange:
 
     def contains(self, count: int) -> bool:
         return self.lo <= count and (self.hi is None or count <= self.hi)
-
-    def intersect(self, other: "FrequencyRange") -> "FrequencyRange":
-        lo = max(self.lo, other.lo)
-        if self.hi is None:
-            hi = other.hi
-        elif other.hi is None:
-            hi = self.hi
-        else:
-            hi = min(self.hi, other.hi)
-        return FrequencyRange(lo, hi)
 
     def issubset(self, other: "FrequencyRange") -> bool:
         """Interval containment; an empty range is inside everything."""

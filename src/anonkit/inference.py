@@ -12,12 +12,11 @@ derived range.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .constraints import Constraint, ConstraintKind, FrequencyRange
-from .errors import ContractError, InferenceError, LintWarning
+from .errors import ContractError, InferenceError
 from .relation import TargetValue
 
 
@@ -32,13 +31,13 @@ class FixedConstraint:
         return f"({self.target}) in {self.bounds}"
 
 
-def to_fixed(constraint: Constraint, k: Optional[int] = None) -> FixedConstraint:
+def to_fixed(constraint: Constraint) -> FixedConstraint:
     """Project a fixed-bound diversity constraint into inference form.
 
     Fairness and variable-bound constraints have no constant range to
-    reason over, so they are rejected rather than approximated. With k
-    given, a positive lower bound below k draws a lint warning: such a
-    count is unreachable in a k-anonymous output built from groups.
+    reason over, so they are rejected rather than approximated. A lower
+    bound below k is linted where the line is parsed, by
+    parse_constraints(text, k).
     """
     if constraint.kind is not ConstraintKind.DIVERSITY:
         raise InferenceError(
@@ -52,20 +51,11 @@ def to_fixed(constraint: Constraint, k: Optional[int] = None) -> FixedConstraint
             f"({constraint.target}): variable bounds are outside the "
             "inference fragment; only fixed-bound diversity constraints qualify"
         ) from None
-    if k is not None and 0 < lo < k:
-        warnings.warn(
-            f"({constraint.target}): lower bound {lo} is below k={k}; "
-            "revealed counts are 0 or at least k",
-            LintWarning,
-            stacklevel=2,
-        )
     return FixedConstraint(constraint.target, FrequencyRange(lo, hi))
 
 
-def to_fixed_all(
-    constraints: Iterable[Constraint], k: Optional[int] = None
-) -> list[FixedConstraint]:
-    return [to_fixed(c, k) for c in constraints]
+def to_fixed_all(constraints: Iterable[Constraint]) -> list[FixedConstraint]:
+    return [to_fixed(c) for c in constraints]
 
 
 class Axiom(enum.Enum):
@@ -185,11 +175,6 @@ class Unsatisfiable:
 SatisfiabilityResult = Union[Satisfiable, Unsatisfiable]
 
 
-def _sorted_targets(sigma: Sequence[FixedConstraint]) -> list[TargetValue]:
-    targets = {c.target for c in sigma}
-    return sorted(targets, key=lambda tv: (len(tv), tv.sorted_entries()))
-
-
 def is_satisfiable(sigma: Sequence[FixedConstraint]) -> SatisfiabilityResult:
     """Check the set for internal contradictions.
 
@@ -204,7 +189,7 @@ def is_satisfiable(sigma: Sequence[FixedConstraint]) -> SatisfiabilityResult:
 
 def _check(sigma: Sequence[FixedConstraint], index: _TargetIndex) -> SatisfiabilityResult:
     witness: dict[TargetValue, int] = {}
-    for tv in _sorted_targets(sigma):
+    for tv in sorted({c.target for c in sigma}, key=lambda tv: (len(tv), tv.sorted_entries())):
         delta, _ = range_for_target([sigma[i] for i in index.sharing(tv)], tv, trace=False)
         if delta.is_empty:
             return Unsatisfiable(FixedConstraint(tv, delta))

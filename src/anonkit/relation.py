@@ -123,9 +123,6 @@ class TargetValue:
     def issubset(self, other: "TargetValue") -> bool:
         return self.entries <= other.entries
 
-    def is_strict_subset(self, other: "TargetValue") -> bool:
-        return self.entries < other.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 

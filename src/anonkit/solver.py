@@ -15,12 +15,15 @@ constraint violations by local moves).
 
 Under the canonical suppression the loss, the star count of each
 attribute and the count of each constraint target are sums of per-group
-terms. Greedy therefore scores candidates from group summaries, and
-branch and bound keeps those sums up to date as it places rows; neither
-builds an output relation for a candidate. build_anonymized and
-check_all, the reference path, run only to materialise the Solution a
-solver returns. The oracle, the ground truth for tests, evaluates every
-partition on the reference path.
+terms. Both searching solvers model a group the same way, through
+_Evaluator: its output projection is a bit mask of the QI positions it
+keeps, and its counts follow from that mask and per-row target matches.
+Greedy scores merges from the masks and local moves from group
+summaries, and branch and bound keeps the sums up to date as it places
+rows; neither builds an output relation for a candidate.
+build_anonymized and check_all, the reference path, run only to
+materialise the Solution a solver returns. The oracle, the ground truth
+for tests, evaluates every partition on the reference path.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
@@ -298,17 +300,19 @@ def decide(problem: Problem, cap: int = ORACLE_CAP) -> bool:
 # --- group summaries ----------------------------------------------------
 
 
-def _row_matches(row: Sequence, part: Sequence[tuple[int, str]]) -> bool:
-    return all(row[col] == v for col, v in part)
-
-
-def _join(a: tuple, b: tuple) -> tuple:
-    """Output QI projection of two groups put together: shared values kept."""
-    return tuple(x if x == y else STAR for x, y in zip(a, b))
-
-
 class _Evaluator:
     """Scores clusterings of one problem from per-group summaries.
+
+    A group's output QI projection is a bit mask: bit p is set when
+    every member agrees with the group's first row at QI position p, so
+    the group keeps those values and stars the rest. Per constraint the
+    evaluator holds the mask of the target's QI positions (needs) and,
+    per row, whether the row is on the target's QI part (qi_match) and
+    on the whole target (full_match). A group whose mask holds the
+    needed positions counts its members on the whole target; any other
+    group counts 0. Its members share their first row's values there,
+    so when that row is off the QI part every member is and the count
+    is 0 as well.
 
     Under the canonical suppression every number check_all reads is a
     sum over groups: the stars per QI attribute (hence the loss) and
@@ -326,21 +330,26 @@ class _Evaluator:
         qi_pos = {a: p for p, a in enumerate(problem.qi)}
         self.proj = [tuple(row[c] for c in qi_cols) for row in relation.rows]
         self.n_qi = len(qi_cols)
+        self.full = (1 << self.n_qi) - 1  # the mask of a group whose rows all agree
+        self._bits = [1 << p for p in range(self.n_qi)]
         self._problem = problem
-        # Per constraint: the target's QI part as (QI position, value),
-        # and whether each row matches the rest of the target.
-        self._targets: list[tuple[tuple[tuple[int, str], ...], list[int]]] = []
-        self._reads: list[tuple[int, ...]] = []
+        self.needs: list[int] = []
+        self.qi_match: list[list[bool]] = []
+        self.full_match: list[list[int]] = []
+        self.reads: list[tuple[int, ...]] = []  # the QI positions each bound reads stars of
         self._inputs: list[dict] = []  # the input statistics fairness bounds see
         self._memo: list[dict[tuple[int, ...], tuple[int, Optional[int]]]] = []
         for c in problem.sigma:
             entries = c.target.sorted_entries()
-            qi_part = tuple((qi_pos[a], v) for a, v in entries if a in qi_pos)
+            qi_part = [(qi_pos[a], v) for a, v in entries if a in qi_pos]
             other = [(relation.column_index(a), v) for a, v in entries if a not in qi_pos]
-            match = [int(_row_matches(row, other)) for row in relation.rows]
-            self._targets.append((qi_part, match))
+            on_part = [all(r[p] == v for p, v in qi_part) for r in self.proj]
+            self.needs.append(sum(self._bits[p] for p, _ in qi_part))
+            self.qi_match.append(on_part)
+            rows = zip(on_part, relation.rows)
+            self.full_match.append([int(q and all(r[c] == v for c, v in other)) for q, r in rows])
             read = referenced_star_attributes(c)
-            self._reads.append(tuple(p for a, p in qi_pos.items() if a in read))
+            self.reads.append(tuple(p for a, p in qi_pos.items() if a in read))
             self._inputs.append(
                 {
                     "initial_target_count": count_target(relation, c.target),
@@ -351,18 +360,25 @@ class _Evaluator:
             )
             self._memo.append({})
 
-    def uniform(self, group: Sequence[int]) -> tuple:
-        """The group's QI projection in the output: its shared value or STAR."""
-        return reduce(_join, (self.proj[i] for i in group))
+    def agree(self, i: int, j: int) -> int:
+        """The mask of QI positions where rows i and j share their value."""
+        return sum(b for b, x, y in zip(self._bits, self.proj[i], self.proj[j]) if x == y)
 
-    def summary(self, group: Sequence[int], uni: Optional[tuple] = None) -> tuple[int, ...]:
-        if uni is None:
-            uni = self.uniform(group)
+    def mask(self, group: Sequence[int]) -> int:
+        """The group's output projection: where every member agrees with the first."""
+        first = group[0]
+        m = self.full
+        for i in group:
+            m &= self.agree(first, i)
+        return m
+
+    def summary(self, group: Sequence[int]) -> tuple[int, ...]:
+        m = self.mask(group)
         size = len(group)
-        stars = [size if u is STAR else 0 for u in uni]
+        stars = [0 if m & b else size for b in self._bits]
         counts = [
-            sum(match[i] for i in group) if all(uni[p] == v for p, v in qi_part) else 0
-            for qi_part, match in self._targets
+            sum(full[i] for i in group) if m & need == need else 0
+            for need, full in zip(self.needs, self.full_match)
         ]
         return (sum(stars), *stars, *counts)
 
@@ -386,7 +402,7 @@ class _Evaluator:
         problem = self._problem
         relation = problem.relation
         out = []
-        for c, read, inputs, memo in zip(problem.sigma, self._reads, self._inputs, self._memo):
+        for c, read, inputs, memo in zip(problem.sigma, self.reads, self._inputs, self._memo):
             key = tuple(stars[p] for p in read)
             if key not in memo:
                 star_counts = dict.fromkeys(relation.schema, 0)
@@ -435,16 +451,15 @@ def solve_exact(problem: Problem) -> SolveResult:
     violated in every completion of the branch; (a) and (b) are decided
     before the placement changes any state.
 
-    A group's output QI projection is a bit mask of the QI positions
-    where every member agrees with its first row. Joining a row ANDs in
-    the positions where the row agrees with that first row, memoised
-    per solve, and the group's stars per row are the positions left
-    out. Each group also keeps, per constraint, how many members are on
-    the whole target; the group counts toward the target when its mask
-    holds the target's QI positions. Target counts are kept as running
-    totals, so the count prunes read them in O(#bounds), and leaves are
-    scored from the masks and totals through the evaluator's bound
-    memo. Only the returned clustering is materialised.
+    Each group keeps the evaluator's mask of its output projection;
+    joining a row ANDs in the row's agreement with the group's first
+    row, memoised per row that leads a group, and the group's stars per
+    row are the positions left out. Each group also keeps, per
+    constraint, how many members are on the whole target. Target counts
+    are kept as running totals, so the count prunes read them in
+    O(#bounds), and leaves are scored from the masks and totals through
+    the evaluator's bound memo. Only the returned clustering is
+    materialised.
     """
     stats = SolverStats(
         prunes={"loss_bound": 0, "underfill": 0, "upper_bound": 0, "lower_bound": 0}
@@ -474,41 +489,26 @@ def solve_exact(problem: Problem) -> SolveResult:
 
     ev = _Evaluator(problem)
     n_qi = ev.n_qi
-    proj = ev.proj
-    position_bits = [1 << p for p in range(n_qi)]
-
-    # Per constraint: the QI positions of its target's QI part, and per
-    # row whether the row is on that part / on the whole target. A group
-    # whose mask holds those positions shares its first row's values
-    # there, so if the first row is off the part, so is every member:
-    # the group's count of members on the whole target is then 0.
-    needs: list[int] = []
-    qi_match: list[list[bool]] = []
-    full_match: list[list[int]] = []
-    for qi_part, other_match in ev._targets:
-        needs.append(sum(position_bits[p] for p, _ in qi_part))
-        on_part = [_row_matches(r, qi_part) for r in proj]
-        qi_match.append(on_part)
-        full_match.append([int(q and m) for q, m in zip(on_part, other_match)])
+    agree = ev.agree
+    needs = ev.needs
     no_counts = (0,) * len(needs)
-    row_full = list(zip(*full_match)) if needs else [()] * n
+    row_full = list(zip(*ev.full_match)) if needs else [()] * n
     # Per static bound: its constraint, lo, hi, and suffix counts over
     # rows i..n-1 (i = 0..n) of rows off the target's QI part / on the
     # whole target.
     static_checks = [
-        (t, lo, hi, _suffix_counts([not m for m in qi_match[t]]), _suffix_counts(full_match[t]))
+        (t, lo, hi, _suffix_counts([not q for q in ev.qi_match[t]]), _suffix_counts(ev.full_match[t]))
         for t, lo, hi in statics
     ]
-    # agree[f], made when row f first leads a group, has entry i with bit
-    # p set when rows f and i share their value at QI position p. It is
-    # filled lazily, so set-up stays O(n).
-    agree: list[Optional[dict[int, int]]] = [None] * n
 
     groups: list[list[int]] = []
     masks: list[int] = []  # QI positions where every member agrees with the first
     stars: list[int] = []  # each group's stars per row
     counts: list[tuple[int, ...]] = []  # per group and constraint: members on the target
-    memos: list[dict[int, int]] = []  # agree[first member]
+    memos: list[dict[int, int]] = []  # per group: row -> agree(first member, row)
+    # A memo is kept per row that leads a group and filled lazily, so
+    # sibling branches share it and set-up stays O(n).
+    leader_memos: list[Optional[dict[int, int]]] = [None] * n
     totals = no_counts  # per constraint: the target's count in the output
     loss = 0  # stars of the groups as they stand
     deficit = 0  # rows still missing from undersized groups
@@ -516,7 +516,7 @@ def solve_exact(problem: Problem) -> SolveResult:
     best: Optional[Clustering] = None
     prunes = stats.prunes
     # Leaves count stars only in the QI positions some bound reads.
-    read_bits = [(p, position_bits[p]) for p in sorted(set().union(*ev._reads))]
+    read_bits = [(p, 1 << p) for p in sorted(set().union(*ev.reads))]
 
     def count_prune(i, slot, mask, new_counts, new_totals) -> Optional[str]:
         """Is a constant bound violated in every completion, with row i in the slot?"""
@@ -591,10 +591,7 @@ def solve_exact(problem: Problem) -> SolveResult:
                 memo = memos[slot]
                 bits = memo.get(i)
                 if bits is None:
-                    first = proj[groups[slot][0]]
-                    bits = memo[i] = sum(
-                        b for b, x, y in zip(position_bits, first, proj[i]) if x == y
-                    )
+                    bits = memo[i] = agree(groups[slot][0], i)
                 prev = old_mask = masks[slot]
                 old_stars = stars[slot]
                 old_counts = counts[slot]
@@ -602,13 +599,13 @@ def solve_exact(problem: Problem) -> SolveResult:
                 new_stars = n_qi - mask.bit_count() if mask != old_mask else old_stars
                 added = (size + 1) * new_stars - size * old_stars
             else:
-                memo = agree[i]
+                memo = leader_memos[i]
                 if memo is None:
-                    memo = agree[i] = {}
+                    memo = leader_memos[i] = {}
                 old_mask = old_stars = None
                 prev = 0  # no group before; it subtracts counts of 0
                 old_counts = no_counts
-                mask, new_stars, added = (1 << n_qi) - 1, 0, 0
+                mask, new_stars, added = ev.full, 0, 0
             if loss + added >= best_loss:
                 prunes["loss_bound"] += 1
                 slot += 1
@@ -719,22 +716,23 @@ def solve_greedy(problem: Problem) -> Union[Solution, Unknown]:
     # popping the least (cost, slot, slot) picks the pair a scan for
     # min((cost, position, position)) would. A merge bumps both slots'
     # versions, which retires the heap entries priced on old contents.
+    # A merge of groups of a and b rows with masks mx and my keeps the
+    # positions both hold and their first rows agree on, so it costs
+    # a*|mx| + b*|my| - (a+b)*|kept| new stars.
     by_proj: dict[tuple, list[int]] = {}
     for i, p in enumerate(proj):
         by_proj.setdefault(p, []).append(i)
     members = dict(enumerate(by_proj.values()))
-    unis = dict(enumerate(by_proj))
+    masks = dict.fromkeys(members, ev.full)
     version = dict.fromkeys(members, 0)
     heap: list[tuple[int, int, int, int, int]] = []
 
     def push(x: int, y: int) -> None:
         a, b = len(members[x]), len(members[y])
         if a < k or b < k:
-            cost = (
-                (a + b) * _join(unis[x], unis[y]).count(STAR)
-                - a * unis[x].count(STAR)
-                - b * unis[y].count(STAR)
-            )
+            mx, my = masks[x], masks[y]
+            kept = mx & my & ev.agree(members[x][0], members[y][0])
+            cost = a * mx.bit_count() + b * my.bit_count() - (a + b) * kept.bit_count()
             heapq.heappush(heap, (cost, x, y, version[x], version[y]))
 
     for x in members:
@@ -746,9 +744,9 @@ def solve_greedy(problem: Problem) -> Union[Solution, Unknown]:
         if version[x] != vx or version[y] != vy:
             continue
         undersized -= (len(members[x]) < k) + (len(members[y]) < k)
+        masks[x] &= masks.pop(y) & ev.agree(members[x][0], members[y][0])
         members[x] += members.pop(y)
         undersized += len(members[x]) < k
-        unis[x] = _join(unis[x], unis.pop(y))
         version[x] += 1
         version[y] += 1
         for z in members:

@@ -34,7 +34,6 @@ from anonkit import (
     SemanticError,
     StarCount,
     TargetValue,
-    UNIVERSAL_RANGE,
     Unsatisfiable,
     Var,
     VarKind,
@@ -50,9 +49,7 @@ from anonkit.solver import (
     SolverStats,
     _evaluate,
     _Evaluator,
-    _join,
     _make_solution,
-    _row_matches,
     _suffix_counts,
 )
 
@@ -136,24 +133,25 @@ def scan_range_for_target(
     sigma: Sequence[FixedConstraint], tv: TargetValue
 ) -> tuple[FrequencyRange, tuple[TraceStep, ...]]:
     """Derived range and trace by comparing tv with every member of the set."""
-    delta = UNIVERSAL_RANGE
+    delta = (0, None)
     steps: list[TraceStep] = []
     for c in sigma:
         if c.target == tv:
             contributed = c.bounds
             axiom = Axiom.FIXED_ATTRIBUTES
-        elif c.target.is_strict_subset(tv):
+        elif c.target.entries < tv.entries:
             contributed = FrequencyRange(0, c.bounds.hi)
             axiom = Axiom.ATTRIBUTE_EXTENSION
-        elif tv.is_strict_subset(c.target):
+        elif tv.entries < c.target.entries:
             contributed = FrequencyRange(c.bounds.lo, None)
             axiom = Axiom.ATTRIBUTE_REDUCTION
         else:
             continue
         steps.append(TraceStep(axiom, contributed, c))
-        delta = delta.intersect(contributed)
-    steps.append(TraceStep(Axiom.RANGE_INTERSECTION, delta))
-    return delta, tuple(steps)
+        delta = _intersect(delta, (contributed.lo, contributed.hi))
+    derived = FrequencyRange(*delta)
+    steps.append(TraceStep(Axiom.RANGE_INTERSECTION, derived))
+    return derived, tuple(steps)
 
 
 def scan_is_satisfiable(sigma: Sequence[FixedConstraint]):
@@ -413,8 +411,18 @@ def reference_parse_file(text: str) -> list[Constraint]:
 # --- reference branch and bound ----------------------------------------------
 # solve_exact as it stood before groups became bit masks: tuple projections
 # joined cell by cell, each placement applied before any prune, and the
-# count prunes recomputed from every group's members. It shares the group
-# evaluator and the answer materialisation with the package.
+# count prunes recomputed from every group's members. It shares the leaf
+# scoring by the group evaluator and the answer materialisation with the
+# package.
+
+
+def _row_matches(row: Sequence, part: Sequence[tuple[int, str]]) -> bool:
+    return all(row[col] == v for col, v in part)
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """Output QI projection of two groups put together: shared values kept."""
+    return tuple(x if x == y else STAR for x, y in zip(a, b))
 
 
 def _ref_static_bounds(problem: Problem) -> list[tuple]:
@@ -462,6 +470,8 @@ def reference_solve_exact(problem: Problem):
 
     rows = relation.rows
     ev = _Evaluator(problem)
+    qi_cols = [relation.column_index(a) for a in problem.qi]
+    projections = [tuple(r[c] for c in qi_cols) for r in rows]
 
     qi_match = [[_row_matches(r, sb[3]) for r in rows] for sb in statics]
     full_match = [
@@ -497,7 +507,7 @@ def reference_solve_exact(problem: Problem):
 
     def placements(i: int):
         nonlocal loss, deficit
-        proj = ev.proj[i]
+        proj = projections[i]
         for slot in range(len(groups) + 1):
             if slot == len(groups):
                 groups.append([i])
@@ -549,7 +559,7 @@ def reference_solve_exact(problem: Problem):
         if depth < n:
             stack.append(placements(depth))
         elif not deficit:
-            totals = ev.totals(map(ev.summary, groups, unis))
+            totals = ev.totals(map(ev.summary, groups))
             if not ev.violations(totals) and (best is None or totals[0] < best[0]):
                 best = (totals[0], Clustering([tuple(g) for g in groups]))
         while stack and not next(stack[-1], False):

@@ -46,15 +46,28 @@ def test_smoke_fingerprints_are_unchanged():
 # searches nearly all stop at their node budget.
 EXACT_BNB_FULL = "169f8b165d8eb2b2290a07b3a048402b946d5fc13eba95ae0e50d413fda66366"
 
+# The full-size greedy run (50 merge instances of 30 rows and 50 repair
+# instances of 20), recorded while greedy still priced phase-1 merges by
+# joining tuple projections: the same clusterings, losses and move
+# counts, and the same seeded tie-breaks.
+GREEDY_FULL = "574665df704ca237a013f1997045be3b31118853a46b52948efc703aa9473721"
 
-def test_full_exact_bnb_fingerprint_is_unchanged():
+
+def _full_fingerprint(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "exact-bnb",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--size", "full", "--seconds", "0", "--seed", "0"],  # fmt: skip
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    got = [line.split()[1] for line in proc.stdout.splitlines() if line.split()[:1] == ["fingerprint"]]
-    assert got == [EXACT_BNB_FULL]
+    return [line.split()[1] for line in proc.stdout.splitlines() if line.split()[:1] == ["fingerprint"]]
+
+
+def test_full_exact_bnb_fingerprint_is_unchanged():
+    assert _full_fingerprint("exact-bnb") == [EXACT_BNB_FULL]
+
+
+def test_full_greedy_fingerprint_is_unchanged():
+    assert _full_fingerprint("greedy") == [GREEDY_FULL]

@@ -629,6 +629,12 @@ class TestContract:
         result = self.anonymize(capsys, plain, **{which: missing})
         self.check(result, 2, f"error: [Errno 2] No such file or directory: '{missing}'")
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_validate_rejects_k_below_1(self, capsys, plain, k):
+        # With no constraint in the file, nothing else would read k.
+        argv = ["--input", str(plain["r2"]), "--constraints", str(plain["sigma"]), "--k", k]
+        self.check(run(capsys, "validate", *argv), 2, f"error: k must be >= 1, got {k}")
+
     def test_repeated_qi_attribute(self, capsys, plain):
         self.check(
             self.anonymize(capsys, plain, qi="GEN,GEN"),

@@ -41,10 +41,6 @@ class TestFrequencyRange:
         assert (r.lo, r.hi) == (6, 5)
         assert str(r) == "[6,5]"
 
-    def test_intersect(self):
-        assert FrequencyRange(2, 10).intersect(FrequencyRange(4, None)) == FrequencyRange(4, 10)
-        assert FrequencyRange(1, 5).intersect(FrequencyRange(6, None)) == FrequencyRange(6, 5)
-
     def test_issubset(self):
         assert FrequencyRange(4, 6).issubset(FrequencyRange(2, 10))
         assert not FrequencyRange(4, None).issubset(FrequencyRange(2, 10))

@@ -14,6 +14,7 @@ from anonkit import (
     Clustering,
     Problem,
     Relation,
+    STAR,
     build_anonymized,
     check_all,
     count_stars,
@@ -112,14 +113,16 @@ def test_totals_match_the_reference_path():
     assert violated == {False, True}
 
 
-def test_group_projection_matches_the_output_rows():
+def test_group_mask_marks_the_kept_qi_columns():
     for problem, groups in CASES[:30]:
         ev = _Evaluator(problem)
         rp, _ = _reference(problem, groups)
-        qi_cols = [rp.column_index(a) for a in problem.qi]
         for g in groups:
-            for i in g:
-                assert ev.uniform(g) == tuple(rp.rows[i][c] for c in qi_cols)
+            mask = ev.mask(g)
+            for p, a in enumerate(problem.qi):
+                col = rp.column_index(a)
+                starred = {rp.rows[i][col] is STAR for i in g}
+                assert starred == {not mask >> p & 1}
 
 
 def test_moved_totals_match_a_fresh_sum():

@@ -12,7 +12,6 @@ from anonkit import (
     FixedConstraint,
     FrequencyRange,
     InferenceError,
-    LintWarning,
     Relation,
     Satisfiable,
     TargetValue,
@@ -226,21 +225,19 @@ class TestToFixed:
         fixed = to_fixed(sigma)
         assert fixed.bounds == FrequencyRange(3, 7)
 
-    def test_low_positive_lower_bound_draws_a_warning(self):
+    def test_low_positive_lower_bound_draws_no_warning(self):
+        # The "below k" lint belongs to parse_constraints(text, k).
         sigma = parse_constraint_line('div: 2 <= count(A="a")', k=1)
-        with pytest.warns(LintWarning, match="below k"):
-            to_fixed(sigma, k=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            to_fixed(sigma)  # no k, no complaint
-            to_fixed(sigma, k=2)
+            assert to_fixed(sigma).bounds == FrequencyRange(2, None)
 
     def test_to_fixed_all_preserves_order(self):
         lines = 'div: 3 <= count(A="a")\ndiv: count(B="b") <= 9'
         constraints = [
             parse_constraint_line(line, k=3) for line in lines.splitlines()
         ]
-        fixed = to_fixed_all(constraints, k=3)
+        fixed = to_fixed_all(constraints)
         assert [f.target for f in fixed] == [c.target for c in constraints]
         assert fixed[1].bounds == FrequencyRange(0, 9)
 

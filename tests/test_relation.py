@@ -58,10 +58,8 @@ class TestTargetValue:
         small = TargetValue.of(A="x")
         big = TargetValue.of(A="x", B="y")
         assert small.issubset(big)
-        assert small.is_strict_subset(big)
         assert not big.issubset(small)
         assert big.issubset(big)
-        assert not big.is_strict_subset(big)
 
     def test_display_is_sorted(self):
         tv = TargetValue([("B", "y"), ("A", "x")])
