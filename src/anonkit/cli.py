@@ -12,6 +12,7 @@ gave up); 2 bad input; 3 search aborted by limits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -276,9 +277,9 @@ def cmd_anonymize(args) -> int:
         out_path=args.out,
         report_path=args.report,
     )
+    limits = Limits(max_nodes=args.max_nodes, time_budget=args.time_budget, seed=args.seed)
     relation = load_relation(_read_text(args.input))
     constraints = parse_constraints(_read_text(args.constraints), args.k)
-    limits = Limits(max_nodes=args.max_nodes, time_budget=args.time_budget, seed=args.seed)
     problem = Problem(relation, args.k, qi, constraints, limits)
 
     if args.mode == "exact":
@@ -327,7 +328,13 @@ def cmd_anonymize(args) -> int:
 # --- argument parsing -----------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `anon` parser, built on the first call and shared by every later one.
+
+    `main` reuses it for each request in the process, so callers must not
+    mutate it (add arguments, change defaults or rebind `func`).
+    """
     parser = argparse.ArgumentParser(
         prog="anon",
         description="Constraint-aware k-anonymization by cell suppression.",

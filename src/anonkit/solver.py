@@ -88,6 +88,13 @@ class Limits:
     time_budget: Optional[float] = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ContractError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        # NaN fails both comparisons; +inf would reach the report as `Infinity`.
+        if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
+            raise ContractError(f"time_budget must be a finite number >= 0, got {self.time_budget}")
+
 
 @dataclass(frozen=True)
 class Problem:

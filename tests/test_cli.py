@@ -1,12 +1,16 @@
-"""End-to-end command line behavior through main(), plus one script check."""
+"""End-to-end command line behavior through main(), plus two script checks."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from anonkit.cli import main
+import anonkit
+from anonkit.cli import build_parser, main
 
 from conftest import INITIAL_CSV, R1_CSV, R2_CSV
 
@@ -576,7 +580,7 @@ class TestNonUtf8Input:
 class TestContract:
     """Bad input exits 2, a negative verdict 1; each says so in one stderr line."""
 
-    def anonymize(self, capsys, files, *, k="3", qi="GEN,ETH", out=None, report=None):
+    def anonymize(self, capsys, files, *extra, k="3", qi="GEN,ETH", out=None, report=None):
         return run(
             capsys,
             "anonymize",
@@ -587,6 +591,7 @@ class TestContract:
             "--mode", "exact",
             "--out", str(out or files["out"]),
             "--report", str(report or files["report"]),
+            *extra,
         )
 
     def check(self, result, code, first_words):
@@ -641,6 +646,19 @@ class TestContract:
             2,
             "error: quasi-identifier 'GEN' is listed twice",
         )
+        assert not plain["out"].exists() and not plain["report"].exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--max-nodes", "-1", "error: max_nodes must be >= 0, got -1"),
+            ("--time-budget", "-1", "error: time_budget must be a finite number >= 0, got -1.0"),
+            ("--time-budget", "nan", "error: time_budget must be a finite number >= 0, got nan"),
+            ("--time-budget", "inf", "error: time_budget must be a finite number >= 0, got inf"),
+        ],
+    )
+    def test_meaningless_budget(self, capsys, plain, flag, value, message):
+        self.check(self.anonymize(capsys, plain, flag, value), 2, message)
         assert not plain["out"].exists() and not plain["report"].exists()
 
 
@@ -800,3 +818,76 @@ def test_installed_script_reports_its_version():
     proc = subprocess.run(["anon", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("anon ")
+
+
+def test_module_reports_its_version():
+    # One fresh process: the one-shot path, with no parser built before.
+    env = dict(os.environ, PYTHONPATH=str(Path(anonkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anonkit.cli", "--version"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"anon {anonkit.__version__}\n"
+
+
+class TestParserReuse:
+    """main() builds its parser once; no call leaks state into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_rejected_call_then_valid_call(self, capsys, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["anonymize", "--k", "three"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        code, _, _ = TestAnonymize().anonymize(capsys, files, ASIAN_RANGE_LINE + "\n", "exact")
+        assert code == 0
+        assert files["out"].read_text() == EXPECTED_LOSS3_CSV
+
+    def test_flag_does_not_stick(self, capsys, files):
+        argv = [
+            "validate",
+            "--input", str(files["r2"]),
+            "--initial", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", "3",
+        ]
+        code, out, _ = run(capsys, *argv, "--pretty")
+        assert code == 0 and out.endswith("all satisfied: yes\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["all_satisfied"] is True
+
+    def test_defaults_come_back(self, capsys, files):
+        anonymize = TestContract().anonymize
+        files["sigma"].write_text("")
+        anonymize(capsys, files, "--seed", "7", "--max-nodes", "5")
+        config = json.loads(files["report"].read_text())["config"]
+        assert (config["seed"], config["max_nodes"]) == (7, 5)
+        code, _, _ = anonymize(capsys, files)
+        assert code == 0
+        config = json.loads(files["report"].read_text())["config"]
+        assert (config["seed"], config["max_nodes"], config["time_budget"]) == (0, None, None)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["anonymize", "--help"]])
+    def test_help_is_the_same_every_time(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: anon ")
+
+    def test_help_follows_columns_at_print_time(self, capsys, monkeypatch):
+        texts = []
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["anonymize", "--help"])
+            texts.append(capsys.readouterr().out)
+        assert max(map(len, texts[0].splitlines())) <= 60
+        assert texts[0] != texts[1]

@@ -119,6 +119,20 @@ class TestProblem:
         Problem(r_initial, 3, QI, [HIDE_ASIAN])
 
 
+class TestLimits:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_nodes": -1}, {"time_budget": -1.0}, {"time_budget": float("nan")},
+         {"time_budget": float("inf")}],
+    )
+    def test_meaningless_budget_rejected(self, kwargs):
+        with pytest.raises(ContractError):
+            Limits(**kwargs)
+
+    def test_zero_budgets_accepted(self):
+        Limits(max_nodes=0, time_budget=0.0)
+
+
 class TestBuildAnonymized:
     def test_uniform_groups_keep_their_values(self, r_initial):
         rp = build_anonymized(r_initial, Clustering([(0, 1, 2), (3, 4, 5), (6, 7, 8)]), QI)
