@@ -175,8 +175,23 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+# Inference forms of constraint files by text, filled and emptied like
+# the parse memo in dsl. A set with a constraint outside the inference
+# fragment raises on every call and is never stored.
+_fixed: dict[str, tuple[FixedConstraint, ...]] = {}
+_FIXED_ENTRIES = 8
+
+
 def _load_fixed(path: str) -> list[FixedConstraint]:
-    return to_fixed_all(parse_constraints(_read_text(path)))
+    text = _read_text(path)
+    constraints = parse_constraints(text)  # lints and parse errors, on every call
+    fixed = _fixed.get(text)
+    if fixed is None:
+        fixed = tuple(to_fixed_all(constraints))
+        if len(_fixed) >= _FIXED_ENTRIES:
+            _fixed.clear()
+        _fixed[text] = fixed
+    return list(fixed)
 
 
 def _trace_json(outcome: InferenceOutcome) -> list[dict]:
@@ -196,7 +211,7 @@ def cmd_implies(args) -> int:
     config = RunConfig(command="implies", constraints_path=args.constraints)
     sigma = _load_fixed(args.constraints)
     query = to_fixed(parse_constraint_line(args.query))
-    outcome = implies(sigma, query)
+    outcome = implies(sigma, query, trace=args.explain)
 
     payload = _base_payload(config)
     payload["query"] = _fixed_json(query)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import warnings
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .constraints import (
     BinOp,
@@ -225,30 +225,35 @@ class _LineParser:
         raise self.error(f"expected a value, got {text!r}", at)
 
 
-def _lint(constraint: Constraint, k: int, line_no: int) -> None:
+def _lint(constraint: Constraint, k: int, line_no: int) -> list[str]:
+    """The lint messages for one constraint, in the order they are issued."""
+    messages = []
     for position, bound in (("lower", constraint.lower), ("upper", constraint.upper)):
         if not isinstance(bound, Literal):
             continue
         value = bound.value
         num, den = value.numerator, value.denominator
         if k > 1 and (den != 1 or num % k != 0):
-            warnings.warn(
+            messages.append(
                 f"line {line_no}: {position} bound {_format_literal(value)} "
-                f"is not a multiple of k={k}",
-                LintWarning,
-                stacklevel=4,
+                f"is not a multiple of k={k}"
             )
         if position == "lower" and 0 < num < k * den:
-            warnings.warn(
+            messages.append(
                 f"line {line_no}: lower bound {_format_literal(value)} is below k={k}; "
-                "revealed counts are 0 or at least k",
-                LintWarning,
-                stacklevel=4,
+                "revealed counts are 0 or at least k"
             )
+    return messages
 
 
-def _parse_line(line: str, k: int, line_no: int) -> Optional[Constraint]:
-    """The line's constraint, linted; None for a blank or comment-only line."""
+def _warn(messages: Sequence[str]) -> None:
+    """Issue each message as a LintWarning from the frame that called the parse."""
+    for message in messages:
+        warnings.warn(message, LintWarning, stacklevel=3)
+
+
+def _parse_line(line: str, line_no: int) -> Optional[Constraint]:
+    """The line's constraint; None for a blank or comment-only line."""
     tokens = list(filter(None, _TOKEN_RE.findall(line)))
     if not tokens:
         return None
@@ -261,25 +266,52 @@ def _parse_line(line: str, k: int, line_no: int) -> Optional[Constraint]:
             if len(text) == 1 and text not in _ONE_CHAR_TOKENS and not text.isdecimal():
                 raise ParseError(f"unexpected character {text!r}", line_no, column) from None
         raise
-    _lint(constraint, k, line_no)
     return constraint
 
 
 def parse_constraint_line(line: str, k: int = 1, line_no: int = 1) -> Constraint:
     """Parse a single constraint line. Blank or comment-only input is an error."""
-    constraint = _parse_line(line, k, line_no)
+    constraint = _parse_line(line, line_no)
     if constraint is None:
         raise ParseError("expected a constraint", line_no, 1)
+    _warn(_lint(constraint, k, line_no))
     return constraint
 
 
+# Parses of whole files by (text, k): the constraints and the lint
+# messages, in order. Filled on a successful parse; a full memo is
+# emptied before the next entry goes in, which needs no lock between
+# threads.
+_parsed: dict[tuple[str, int], tuple[tuple[Constraint, ...], tuple[str, ...]]] = {}
+_PARSED_ENTRIES = 8
+
+
 def parse_constraints(text: str, k: int = 1) -> list[Constraint]:
-    """Parse a constraint file: one constraint per line, `#` comments, blanks ok."""
+    """Parse a constraint file: one constraint per line, `#` comments, blanks ok.
+
+    Parses are memoised on the text and k, for up to 8 distinct pairs:
+    a process that parses one file many times tokenizes it once. An
+    edited file is new text and is parsed afresh. Lints warn on every
+    call, in line order and from the caller's frame; errors are not
+    memoised and raise on every call. Each call returns a new list of
+    shared, frozen constraints.
+    """
+    entry = _parsed.get((text, k))
+    if entry is not None:
+        _warn(entry[1])
+        return list(entry[0])
     out: list[Constraint] = []
+    lints: list[str] = []
     for i, line in enumerate(text.splitlines(), start=1):
-        constraint = _parse_line(line, k, i)
+        constraint = _parse_line(line, i)
         if constraint is not None:
+            messages = _lint(constraint, k, i)
+            _warn(messages)
+            lints += messages
             out.append(constraint)
+    if len(_parsed) >= _PARSED_ENTRIES:
+        _parsed.clear()
+    _parsed[text, k] = (tuple(out), tuple(lints))
     return out
 
 

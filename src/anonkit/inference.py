@@ -135,16 +135,17 @@ def range_for_target(
 
 
 def implies(
-    sigma: Sequence[FixedConstraint], query: FixedConstraint
+    sigma: Sequence[FixedConstraint], query: FixedConstraint, trace: bool = True
 ) -> InferenceOutcome:
     """Does every relation satisfying the set also satisfy the query?
 
     Holds exactly when the derived range for the query's target sits
     inside the query's own range: no count the set permits can fall
-    outside what the query demands.
+    outside what the query demands. With trace false the outcome's
+    derivation is empty.
     """
-    delta, trace = range_for_target(sigma, query.target)
-    return InferenceOutcome(delta.issubset(query.bounds), delta, trace)
+    delta, steps = range_for_target(sigma, query.target, trace)
+    return InferenceOutcome(delta.issubset(query.bounds), delta, steps)
 
 
 @dataclass(frozen=True)

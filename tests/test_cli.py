@@ -831,6 +831,83 @@ def test_module_reports_its_version():
     assert proc.stdout == f"anon {anonkit.__version__}\n"
 
 
+class TestConstraintFileReuse:
+    """Repeated requests on one constraint file answer as the first did."""
+
+    LINTED_SET = 'div: 0.5 <= count(CTY="Calgary") <= 10\n' + IMPLIES_SET
+
+    def twice(self, capsys, *argv):
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second
+        return first
+
+    def test_inference_commands(self, capsys, tmp_path):
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text(self.LINTED_SET)
+        warning = "warning: line 1: lower bound 0.5 is below k=1; revealed counts are 0 or at least k\n"
+        for argv, expected_code in (
+            (["implies", "--query", QUERY_LINE], 1),
+            (["implies", "--query", QUERY_LINE, "--explain", "--pretty"], 1),
+            (["satisfiable"], 0),
+            (["mincover"], 0),
+        ):
+            code, out, err = self.twice(capsys, *argv, "--constraints", str(sigma))
+            assert (code, err) == (expected_code, warning)
+            assert out
+
+    def test_validate(self, capsys, files):
+        files["sigma"].write_text('div: 4 <= count(ETH="Asian")\n' + FAIR_LINE + "\n")
+        code, out, err = self.twice(
+            capsys,
+            "validate",
+            "--input", str(files["r2"]),
+            "--initial", str(files["initial"]),
+            "--constraints", str(files["sigma"]),
+            "--k", "3",
+        )
+        assert (code, err) == (1, "warning: line 1: lower bound 4 is not a multiple of k=3\n")
+        assert json.loads(out)["reports"][1]["satisfied"] is True
+
+    def test_anonymize(self, capsys, files):
+        runs = []
+        for _ in range(2):
+            runs.append(
+                TestAnonymize().anonymize(capsys, files, 'div: 3 <= count(ETH="Asian") <= 7\n', "exact")
+                + (files["out"].read_text(),)
+            )
+        assert runs[0] == runs[1]
+        code, _, err, csv = runs[0]
+        assert code == 0 and csv == EXPECTED_LOSS3_CSV
+        assert err == "warning: line 1: upper bound 7 is not a multiple of k=3\n"
+
+    def test_an_edited_file_is_read_again(self, capsys, tmp_path):
+        sigma = tmp_path / "sigma.txt"
+        argv = ["implies", "--constraints", str(sigma), "--query", QUERY_LINE]
+        sigma.write_text(IMPLIES_SET)
+        assert run(capsys, *argv)[0] == 1
+        sigma.write_text(IMPLIES_SET + 'div: 5 <= count(ETH="Caucasian", CTY="Calgary") <= 7\n')
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["derived_range"] == {"lo": 5, "hi": 7}
+        sigma.write_text(REDUNDANT_SET)
+        assert run(capsys, "mincover", "--constraints", str(sigma))[1] == 'div: 3 <= count(A="a") <= 6\n'
+        sigma.write_text(UNSAT_SET)
+        assert run(capsys, "mincover", "--constraints", str(sigma))[0] == 1
+
+    @pytest.mark.parametrize("command", ["implies", "satisfiable", "mincover"])
+    def test_a_fairness_line_fails_every_time(self, capsys, tmp_path, command):
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text(ASIAN_RANGE_LINE + "\n" + FAIR_LINE + "\n")
+        argv = [command, "--constraints", str(sigma)]
+        if command == "implies":
+            argv += ["--query", QUERY_LINE]
+        code, out, err = self.twice(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            'error: (GEN="Female"): fairness constraints are outside the inference '
+            "fragment; only fixed-bound diversity constraints qualify\n"
+        )
+
+
 class TestParserReuse:
     """main() builds its parser once; no call leaks state into the next."""
 

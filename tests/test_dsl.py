@@ -319,6 +319,99 @@ class TestLints:
         assert not [w for w in recwarn.list if issubclass(w.category, LintWarning)]
 
 
+def _lints(parse):
+    """Run parse; return its result and each lint as (message, file, line)."""
+    with pytest.warns(LintWarning) as record:
+        result = parse()
+    return result, [(str(w.message), w.filename, w.lineno) for w in record]
+
+
+class TestParseMemo:
+    """parse_constraints memoises on (text, k) and behaves as if it did not."""
+
+    @pytest.mark.parametrize(
+        "text,k,expected",
+        [
+            (
+                '# off the grid\ndiv: 2 <= count(A="x") <= 7\ndiv: count(B="y") <= 5\n',
+                3,
+                [
+                    "line 2: lower bound 2 is not a multiple of k=3",
+                    "line 2: lower bound 2 is below k=3; revealed counts are 0 or at least k",
+                    "line 2: upper bound 7 is not a multiple of k=3",
+                    "line 3: upper bound 5 is not a multiple of k=3",
+                ],
+            ),
+            (
+                '# fractional\ndiv: 0.5 <= count(A="x")\ndiv: 0.25 <= count(B="y") <= 3\n',
+                1,
+                [
+                    "line 2: lower bound 0.5 is below k=1; revealed counts are 0 or at least k",
+                    "line 3: lower bound 0.25 is below k=1; revealed counts are 0 or at least k",
+                ],
+            ),
+        ],
+    )
+    def test_lints_warn_on_every_call(self, text, k, expected):
+        calls = []
+        for _ in range(3):
+            calls.append(_lints(lambda: parse_constraints(text, k)))
+        assert [message for message, _, _ in calls[0][1]] == expected
+        assert {w[1] for w in calls[0][1]} == {__file__}
+        assert calls[1] == calls[2] == calls[0]
+
+    def test_lints_before_an_error_still_warn(self):
+        text = 'div: 4 <= count(A="x")  # lints first\ndiv: 3 <= count(A=x)\n'
+        for _ in range(2):
+            with pytest.warns(LintWarning, match="line 1: lower bound 4") as record:
+                with pytest.raises(ParseError):
+                    parse_constraints(text, k=3)
+            assert len(record) == 1
+
+    def test_a_returned_list_is_the_callers(self):
+        text = 'div: 3 <= count(A="x")  # returned list\n'
+        first = parse_constraints(text)
+        first.append(first[0])
+        first[0] = None
+        assert parse_constraints(text) == [parse_constraint_line('div: 3 <= count(A="x")')]
+
+    def test_errors_repeat(self):
+        text = 'div: 3 <= count(A="x")  # repeated error\ndiv: 3 <= count(A=x)\n'
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                parse_constraints(text)
+            errors.append((str(exc.value), exc.value.line, exc.value.column))
+        assert errors[0] == errors[1] == ("line 2, col 19: expected quoted value, got 'x'", 2, 19)
+
+    def test_a_repeated_text_is_parsed_once(self, monkeypatch):
+        import anonkit.dsl
+
+        lines = []
+        real = anonkit.dsl._parse_line
+
+        def counting(*args):
+            lines.append(args[-1])  # the line number
+            return real(*args)
+
+        monkeypatch.setattr(anonkit.dsl, "_parse_line", counting)
+        text = 'div: 3 <= count(A="x")  # parsed once\n\ndiv: count(B="y") <= 6\n'
+        first = parse_constraints(text, k=3)
+        assert lines == [1, 2, 3]
+        assert parse_constraints(text, k=3) == first
+        assert lines == [1, 2, 3]
+        parse_constraints(text, k=1)  # another k lints differently: a new entry
+        assert lines == [1, 2, 3] * 2
+
+    def test_more_texts_than_entries(self):
+        texts = [f'div: {i} <= count(A="x")  # entry {i}' for i in range(40)]
+        for _ in range(2):
+            for i, text in enumerate(texts):
+                assert parse_constraints(text) == [
+                    Constraint(ConstraintKind.DIVERSITY, TargetValue.of(A="x"), Literal(i), None)
+                ]
+
+
 SHOWCASE_LINES = [
     'div: 3 <= count(ETH="Asian") <= 6',
     'div: 3 <= count(ETH="Asian")',
